@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -118,10 +119,16 @@ def store_result(cache_dir, digest: str, pmids: list[str]) -> None:
         "fetched_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "pmids": sorted(pmids),
     }
-    # Single-writer append discipline: write to a temp name, then replace.
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
-    tmp.replace(path)
+    # Each writer fills its own temp file and renames it into place, so
+    # concurrent stores of one digest never share or leave a partial file.
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{digest}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(json.dumps(entry, ensure_ascii=False))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,24 @@ Both engines implement identical semantics:
 Tokenization is lowercase, split on non-alphanumerics, digits kept, no
 stemming.  PubMed's proprietary term normalization is intentionally not
 emulated.
+
+The index (:func:`build_index`, :func:`execute_local` and the ``_index_*``
+helpers) answers every term without scanning its vocabulary:
+
+* single tokens, MeSH names and publication types are postings lookups;
+* a ``*`` term is a bisect range over the sorted keys of its postings;
+* an exploded MeSH term reads a sorted (tree number, name) table: its
+  roots exactly, then each range ``[root + ".", root + "/")``, which holds
+  the tree numbers that extend the root at a dot boundary;
+* a phrase intersects the postings of its exactly matched tokens and then
+  checks the token arrays of the candidates.  The arrays hold one shared
+  string per distinct token; the check jumps between occurrences of the
+  first token with ``tuple.index``.
+
+The oracle (:func:`execute_naive`, ``_doc_term_match``, ``_phrase_at``,
+``_exploded_names`` and :func:`explode_mesh`) re-tokenizes every document
+for every term and scans windows and descriptors one by one.  It shares no
+matching code with the index, so it stays an independent specification.
 """
 
 from __future__ import annotations
@@ -22,8 +40,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .collections import Corpus, CorpusDoc, MeshVocab
 from .query_ast import (
@@ -63,42 +82,26 @@ def tokenize(text: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# MeSH explosion
-# ---------------------------------------------------------------------------
-
-def explode_mesh(vocab: MeshVocab, name: str) -> set[str]:
-    """The descriptor and every descriptor whose tree number extends one of
-    its tree numbers at a dot boundary."""
-    descriptor = vocab.lookup(name)
-    if descriptor is None:
-        raise UnknownDescriptorError(name)
-    roots = descriptor.tree_numbers
-    result = {descriptor.name}
-    for other in vocab.descriptors.values():
-        for tree in other.tree_numbers:
-            if any(tree == root or tree.startswith(root + ".") for root in roots):
-                result.add(other.name)
-                break
-    return result
-
-
-# ---------------------------------------------------------------------------
 # Index
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Index:
-    """Immutable fielded index.  Postings are pmid sets per token; phrase
-    queries check positions against per-document token arrays."""
+    """Immutable fielded index.  Every lookup is a dict probe or a bisect
+    range over sorted keys; phrases are checked against per-document token
+    arrays whose elements are one shared string object per distinct token."""
 
     postings: dict[str, dict[str, frozenset[str]]]          # field -> token -> pmids
-    token_arrays: dict[str, dict[str, tuple[str, ...]]]      # field -> pmid -> tokens
-    mesh_text: dict[str, tuple[tuple[str, ...], ...]]        # pmid -> token arrays per name
+    sorted_tokens: dict[str, tuple[str, ...]]                # field -> sorted tokens, for `*`
+    token_arrays: dict[str, dict[str, tuple[str, ...]]]      # field -> pmid -> interned tokens
+    mesh_text: dict[str, tuple[tuple[str, ...], ...]]        # pmid -> interned tokens per name
     descriptor_map: dict[str, frozenset[str]]                # lower name -> pmids
-    pub_types: dict[str, tuple[str, ...]]                    # pmid -> lowered type strings
+    sorted_descriptors: tuple[str, ...]                      # sorted descriptor_map keys
+    mesh_trees: tuple[tuple[str, str], ...]                  # sorted (tree number, lower name)
+    pub_type_postings: dict[str, frozenset[str]]             # lower type -> pmids
+    sorted_pub_types: tuple[str, ...]                        # sorted pub_type_postings keys
     all_pmids: frozenset[str]
     vocab: Optional[MeshVocab]
-    sorted_tokens: dict[str, tuple[str, ...]]                # field -> sorted token list
 
     def digest(self) -> str:
         payload = {
@@ -110,81 +113,115 @@ class Index:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _append_postings(postings: dict[str, list[str]], keys, pmid: str) -> None:
+    # Lists, not sets: a document adds each distinct key once, and appending
+    # is about twice as fast as set insertion.
+    get = postings.get
+    for key in set(keys):
+        pmids = get(key)
+        if pmids is None:
+            postings[key] = [pmid]
+        else:
+            pmids.append(pmid)
+
+
 def build_index(corpus: Corpus, vocab: Optional[MeshVocab] = None) -> Index:
-    postings: dict[str, dict[str, set[str]]] = {"title": {}, "abstract": {}, "mesh": {}}
+    postings: dict[str, dict[str, list[str]]] = {"title": {}, "abstract": {}, "mesh": {}}
     token_arrays: dict[str, dict[str, tuple[str, ...]]] = {"title": {}, "abstract": {}}
     mesh_text: dict[str, tuple[tuple[str, ...], ...]] = {}
-    descriptor_map: dict[str, set[str]] = {}
-    pub_types: dict[str, tuple[str, ...]] = {}
+    descriptor_map: dict[str, list[str]] = {}
+    pub_types: dict[str, list[str]] = {}
+    # One string object per distinct token, shared by every array and
+    # postings key, so a token array costs a pointer per position.
+    shared: dict[str, str] = {}
+    intern = shared.setdefault
+    # Raw MeSH tag -> (lowercased canonical name, its interned tokens).
+    mesh_names: dict[str, tuple[str, tuple[str, ...]]] = {}
 
     for pmid, doc in corpus.docs.items():
         for field, text in (("title", doc.title), ("abstract", doc.abstract)):
-            tokens = tuple(tokenize(text))
+            toks = tokenize(text)
+            tokens = tuple(map(intern, toks, toks))
             token_arrays[field][pmid] = tokens
-            for tok in set(tokens):
-                postings[field].setdefault(tok, set()).add(pmid)
-        name_arrays = []
+            _append_postings(postings[field], tokens, pmid)
+        names = []
         for name in doc.mesh_terms:
-            canonical = name
-            if vocab is not None:
-                descriptor = vocab.lookup(name)
-                if descriptor is not None:
-                    canonical = descriptor.name
-            descriptor_map.setdefault(canonical.lower(), set()).add(pmid)
-            name_tokens = tuple(tokenize(canonical))
-            name_arrays.append(name_tokens)
-            for tok in set(name_tokens):
-                postings["mesh"].setdefault(tok, set()).add(pmid)
-        mesh_text[pmid] = tuple(name_arrays)
-        pub_types[pmid] = tuple(p.lower().strip() for p in doc.pub_types)
+            entry = mesh_names.get(name)
+            if entry is None:
+                descriptor = vocab.lookup(name) if vocab is not None else None
+                canonical = descriptor.name if descriptor is not None else name
+                toks = tokenize(canonical)
+                entry = mesh_names[name] = (canonical.lower(), tuple(map(intern, toks, toks)))
+            names.append(entry)
+        _append_postings(descriptor_map, (key for key, _ in names), pmid)
+        mesh_text[pmid] = tuple(tokens for _, tokens in names)
+        _append_postings(postings["mesh"], (tok for _, tokens in names for tok in tokens), pmid)
+        _append_postings(pub_types, (p.lower().strip() for p in doc.pub_types), pmid)
 
+    mesh_trees = () if vocab is None else tuple(sorted(
+        (tree, d.name.lower()) for d in vocab.descriptors.values() for tree in d.tree_numbers
+    ))
     return Index(
         postings={f: {t: frozenset(p) for t, p in toks.items()} for f, toks in postings.items()},
+        sorted_tokens={f: tuple(sorted(toks)) for f, toks in postings.items()},
         token_arrays=token_arrays,
         mesh_text=mesh_text,
         descriptor_map={n: frozenset(p) for n, p in descriptor_map.items()},
-        pub_types=pub_types,
+        sorted_descriptors=tuple(sorted(descriptor_map)),
+        mesh_trees=mesh_trees,
+        pub_type_postings={t: frozenset(p) for t, p in pub_types.items()},
+        sorted_pub_types=tuple(sorted(pub_types)),
         all_pmids=frozenset(corpus.docs),
         vocab=vocab,
-        sorted_tokens={f: tuple(sorted(toks)) for f, toks in postings.items()},
     )
-
-
-# ---------------------------------------------------------------------------
-# Shared matching helpers
-# ---------------------------------------------------------------------------
-
-def _phrase_at(arr: tuple[str, ...], tokens: list[str], prefix_last: bool) -> bool:
-    k = len(tokens)
-    if k == 0 or len(arr) < k:
-        return False
-    for i in range(len(arr) - k + 1):
-        window = arr[i : i + k]
-        head_ok = all(window[j] == tokens[j] for j in range(k - 1))
-        if not head_ok:
-            continue
-        last = window[k - 1]
-        if last == tokens[-1] or (prefix_last and last.startswith(tokens[-1])):
-            return True
-    return False
-
-
-def _exploded_names(vocab: Optional[MeshVocab], text: str) -> set[str]:
-    """Lowercased descriptor names matched by an exploded MeSH term; falls
-    back to the literal name when the vocabulary has no entry."""
-    if vocab is not None and vocab.lookup(text) is not None:
-        return {n.lower() for n in explode_mesh(vocab, text)}
-    return {text.strip().lower()}
 
 
 # ---------------------------------------------------------------------------
 # Indexed execution
 # ---------------------------------------------------------------------------
 
-def _index_tokens_matching(idx: Index, field: str, stem: str) -> list[str]:
-    # Prefix scan over the sorted token list; stems shorter than the
-    # validation minimum still work, they are just slow.
-    return [t for t in idx.sorted_tokens.get(field, ()) if t.startswith(stem)]
+def _prefix_range(keys: tuple[str, ...], prefix: str) -> tuple[str, ...]:
+    """The run of sorted keys that start with prefix, found by bisection."""
+    lo = hi = bisect_left(keys, prefix)
+    while hi < len(keys) and keys[hi].startswith(prefix):
+        hi += 1
+    return keys[lo:hi]
+
+
+def _union(postings: dict[str, frozenset[str]], keys) -> set[str]:
+    return set().union(*[postings.get(key, frozenset()) for key in keys])
+
+
+def _index_phrase_matcher(
+    tokens: list[str], prefix_last: bool
+) -> Callable[[tuple[str, ...]], bool]:
+    """Predicate for a phrase of two or more tokens over one token array.
+
+    ``tuple.index`` jumps between occurrences of the first token in C; the
+    rest of the window is compared only there."""
+    k = len(tokens)
+    first, middle, last = tokens[0], tuple(tokens[1:-1]), tokens[-1]
+
+    def matches(arr: tuple[str, ...]) -> bool:
+        # Guard before computing end: a negative end would make tuple.index
+        # count from the back of the array.
+        if len(arr) < k:
+            return False
+        end = len(arr) - k + 1
+        i = 0
+        while True:
+            try:
+                i = arr.index(first, i, end)
+            except ValueError:
+                return False
+            tail = arr[i + k - 1]
+            if arr[i + 1 : i + k - 1] == middle and (
+                tail == last or (prefix_last and tail.startswith(last))
+            ):
+                return True
+            i += 1
+
+    return matches
 
 
 def _index_field_match(idx: Index, fields: list[str], term: Term) -> set[str]:
@@ -193,49 +230,61 @@ def _index_field_match(idx: Index, fields: list[str], term: Term) -> set[str]:
         return set()
     result: set[str] = set()
     for field in fields:
-        if len(tokens) == 1 and not term.truncated:
-            result |= idx.postings.get(field, {}).get(tokens[0], frozenset())
+        postings = idx.postings[field]
+        if len(tokens) == 1:
+            if term.truncated:
+                result |= _union(postings, _prefix_range(idx.sorted_tokens[field], tokens[0]))
+            else:
+                result |= postings.get(tokens[0], frozenset())
             continue
-        if len(tokens) == 1 and term.truncated:
-            for tok in _index_tokens_matching(idx, field, tokens[0]):
-                result |= idx.postings[field][tok]
-            continue
-        # Phrase: candidates must contain every non-final token, then the
-        # positional windows are checked.
-        candidates: Optional[set[str]] = None
-        for tok in tokens[:-1]:
-            pmids = idx.postings.get(field, {}).get(tok, frozenset())
-            candidates = set(pmids) if candidates is None else candidates & pmids
-            if not candidates:
-                break
-        if not candidates:
-            continue
+        # Phrase: candidates contain every exactly-matched token, then the
+        # windows are checked in their token arrays.
+        exact = tokens[:-1] if term.truncated else tokens
+        candidates = frozenset.intersection(*(postings.get(tok, frozenset()) for tok in exact))
+        matches = _index_phrase_matcher(tokens, term.truncated)
         if field == "mesh":
-            for pmid in candidates:
-                if any(
-                    _phrase_at(arr, tokens, term.truncated)
-                    for arr in idx.mesh_text.get(pmid, ())
-                ):
-                    result.add(pmid)
+            result.update(
+                pmid for pmid in candidates if any(map(matches, idx.mesh_text[pmid]))
+            )
         else:
-            for pmid in candidates:
-                if _phrase_at(idx.token_arrays[field].get(pmid, ()), tokens, term.truncated):
-                    result.add(pmid)
+            arrays = idx.token_arrays[field]
+            result.update(pmid for pmid in candidates if matches(arrays[pmid]))
     return result
+
+
+def _index_exploded_names(idx: Index, text: str) -> set[str]:
+    """Lowercased descriptor names matched by an exploded MeSH term: the
+    descriptor plus every name whose tree number equals one of its roots or
+    extends it at a dot boundary, read as bisect ranges of ``mesh_trees``.
+    Falls back to the literal name when the vocabulary has no entry."""
+    descriptor = idx.vocab.lookup(text) if idx.vocab is not None else None
+    if descriptor is None:
+        return {text.strip().lower()}
+    table = idx.mesh_trees
+    names = {descriptor.name.lower()}
+    for root in descriptor.tree_numbers:
+        # Exactly root: [root, root + "\0"); below root: [root + ".", root + "/").
+        for lo, hi in ((root, root + "\0"), (root + ".", root + "/")):
+            start = bisect_left(table, (lo,))
+            names.update(name for _, name in table[start : bisect_left(table, (hi,), start)])
+    return names
 
 
 def _index_mesh_match(idx: Index, term: Term, exploded: bool) -> set[str]:
     key = term.text.strip().lower()
     if term.truncated:
-        names = [n for n in idx.descriptor_map if n.startswith(key)]
+        names = _prefix_range(idx.sorted_descriptors, key)
     elif exploded:
-        names = list(_exploded_names(idx.vocab, term.text))
+        names = _index_exploded_names(idx, term.text)
     else:
-        names = [key]
-    result: set[str] = set()
-    for name in names:
-        result |= idx.descriptor_map.get(name, frozenset())
-    return result
+        names = (key,)
+    return _union(idx.descriptor_map, names)
+
+
+def _index_pub_type_match(idx: Index, term: Term) -> set[str]:
+    want = term.text.strip().lower()
+    types = _prefix_range(idx.sorted_pub_types, want) if term.truncated else (want,)
+    return _union(idx.pub_type_postings, types)
 
 
 def _index_term(idx: Index, term: Term) -> set[str]:
@@ -251,12 +300,7 @@ def _index_term(idx: Index, term: Term) -> set[str]:
     if kind is FieldKind.MESH_NOEXP:
         return _index_mesh_match(idx, term, exploded=False)
     if kind is FieldKind.PUBLICATION_TYPE:
-        want = term.text.strip().lower()
-        return {
-            pmid
-            for pmid, types in idx.pub_types.items()
-            if any(t == want or (term.truncated and t.startswith(want)) for t in types)
-        }
+        return _index_pub_type_match(idx, term)
     raise InvalidQueryError(f"unsupported field kind {kind}")
 
 
@@ -288,6 +332,45 @@ def execute_local(idx: Index, q: Query) -> set[str]:
 # ---------------------------------------------------------------------------
 # Naive oracle execution
 # ---------------------------------------------------------------------------
+
+def _phrase_at(arr: tuple[str, ...], tokens: list[str], prefix_last: bool) -> bool:
+    k = len(tokens)
+    if k == 0 or len(arr) < k:
+        return False
+    for i in range(len(arr) - k + 1):
+        window = arr[i : i + k]
+        head_ok = all(window[j] == tokens[j] for j in range(k - 1))
+        if not head_ok:
+            continue
+        last = window[k - 1]
+        if last == tokens[-1] or (prefix_last and last.startswith(tokens[-1])):
+            return True
+    return False
+
+
+def explode_mesh(vocab: MeshVocab, name: str) -> set[str]:
+    """The descriptor and every descriptor whose tree number extends one of
+    its tree numbers at a dot boundary."""
+    descriptor = vocab.lookup(name)
+    if descriptor is None:
+        raise UnknownDescriptorError(name)
+    roots = descriptor.tree_numbers
+    result = {descriptor.name}
+    for other in vocab.descriptors.values():
+        for tree in other.tree_numbers:
+            if any(tree == root or tree.startswith(root + ".") for root in roots):
+                result.add(other.name)
+                break
+    return result
+
+
+def _exploded_names(vocab: Optional[MeshVocab], text: str) -> set[str]:
+    """Lowercased descriptor names matched by an exploded MeSH term; falls
+    back to the literal name when the vocabulary has no entry."""
+    if vocab is not None and vocab.lookup(text) is not None:
+        return {n.lower() for n in explode_mesh(vocab, text)}
+    return {text.strip().lower()}
+
 
 def _doc_term_match(doc: CorpusDoc, term: Term, vocab: Optional[MeshVocab]) -> bool:
     tokens = tokenize(term.text)

@@ -1,5 +1,7 @@
 import json
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -126,6 +128,29 @@ def test_cache_round_trip(tmp_path):
     entry = json.loads((tmp_path / f"{digest}.json").read_text())
     assert entry["query_digest"] == digest
     assert "fetched_at" in entry
+
+
+def test_concurrent_stores_of_one_digest(tmp_path):
+    digest = query_digest("thyroid[tiab]")
+    writers = 8
+    barrier = threading.Barrier(writers)
+
+    def store(i):
+        barrier.wait(timeout=10)
+        for _ in range(25):
+            store_result(tmp_path, digest, [str(i)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(writers) as pool:
+            futures = [pool.submit(store, i) for i in range(writers)]
+            for f in futures:
+                f.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert load_cached_result(tmp_path, digest) in [[str(i)] for i in range(writers)]
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_warm_cache_makes_zero_requests(esearch_stub, tmp_path):

@@ -2,9 +2,17 @@ import random
 
 import pytest
 
-from randgen import fixture_vocab, random_corpus, random_retrieval_query, random_term
-from srquery.collections import Corpus, CorpusDoc
-from srquery.query_ast import Op, Operator, Query, Term, parse
+from randgen import (
+    fixture_vocab,
+    random_corpus,
+    random_hard_corpus,
+    random_hard_query,
+    random_retrieval_query,
+    random_term,
+    random_tree_vocab,
+)
+from srquery.collections import Corpus, CorpusDoc, MeshDescriptor, MeshVocab
+from srquery.query_ast import FieldKind, FieldTag, Op, Operator, Query, Term, parse
 from srquery.retrieval import (
     InvalidQueryError,
     UnknownDescriptorError,
@@ -131,6 +139,39 @@ def test_explode_includes_tree_descendants(vocab):
     assert explode_mesh(vocab, "Carcinoma") == {"Carcinoma", "Carcinoma, Papillary"}
 
 
+# Siblings C04.5, C04.55 and C04.550 share a string prefix; Alpha also sits
+# at a second tree number.
+DOT_BOUNDARY_VOCAB = MeshVocab({
+    name.lower(): MeshDescriptor(name=name, ui=f"U{i}", tree_numbers=trees)
+    for i, (name, trees) in enumerate([
+        ("Alpha", ("C04.5", "E01.2")),
+        ("Beta", ("C04.55",)),
+        ("Gamma", ("C04.5.1",)),
+        ("Delta", ("C04.550.5",)),
+        ("Epsilon", ("E01.2.7",)),
+        ("Zeta", ()),
+    ])
+})
+
+
+def test_exploded_lookup_equals_explode_mesh(vocab):
+    vocabs = [vocab, fixture_vocab(), random_tree_vocab(random.Random(616161)), DOT_BOUNDARY_VOCAB]
+    for v in vocabs:
+        names = v.names()
+        # One document per descriptor: an exploded query must return exactly
+        # the documents of the names explode_mesh lists.
+        idx = build_index(Corpus({
+            str(i): CorpusDoc(pmid=str(i), title="", mesh_terms=(name,))
+            for i, name in enumerate(names)
+        }), v)
+        for name in names:
+            exploded = explode_mesh(v, name)
+            expected = {str(i) for i, other in enumerate(names) if other in exploded}
+            term = Term(name, FieldTag(FieldKind.MESH_EXPLODED))
+            assert execute_local(idx, Query(term)) == expected, name
+    assert explode_mesh(DOT_BOUNDARY_VOCAB, "Alpha") == {"Alpha", "Gamma", "Epsilon"}
+
+
 def test_explode_unknown_descriptor(vocab):
     with pytest.raises(UnknownDescriptorError):
         explode_mesh(vocab, "No Such Descriptor")
@@ -148,6 +189,20 @@ def test_local_equals_naive_on_100_random_instances():
         idx = build_index(corpus, vocab)
         q = random_retrieval_query(rng, max_depth=4)
         assert execute_local(idx, q) == execute_naive(corpus, q, vocab)
+
+
+def test_local_equals_naive_on_hard_random_instances():
+    # Deep trees with prefix-sharing siblings, repeated-token and truncated
+    # phrases, fields shorter than the phrase, phrases across two MeSH
+    # names, truncated MeSH and publication types.
+    rng = random.Random(515151)
+    for _ in range(150):
+        vocab = random_tree_vocab(rng)
+        corpus = random_hard_corpus(rng, vocab, max_docs=60)
+        idx = build_index(corpus, vocab)
+        for _ in range(3):
+            q = random_hard_query(rng, vocab)
+            assert execute_local(idx, q) == execute_naive(corpus, q, vocab)
 
 
 def test_naive_empty_corpus():
