@@ -19,15 +19,17 @@ emulated.
 The index (:func:`build_index`, :func:`execute_local` and the ``_index_*``
 helpers) answers every term without scanning its vocabulary:
 
+* postings are lists built in one pass over each field, naming each pmid
+  once per key; lookups copy them into fresh sets;
 * single tokens, MeSH names and publication types are postings lookups;
 * a ``*`` term is a bisect range over the sorted keys of its postings;
 * an exploded MeSH term reads a sorted (tree number, name) table: its
   roots exactly, then each range ``[root + ".", root + "/")``, which holds
   the tree numbers that extend the root at a dot boundary;
-* a phrase intersects the postings of its exactly matched tokens and then
-  checks the token arrays of the candidates.  The arrays hold one shared
-  string per distinct token; the check jumps between occurrences of the
-  first token with ``tuple.index``.
+* a phrase intersects the postings of its exactly matched tokens, then
+  looks for itself as a plain substring of each candidate's spaced text
+  (see ``_spaced``): the stored title or abstract, or each canonical MeSH
+  name in turn.  The index keeps no per-document token arrays.
 
 The oracle (:func:`execute_naive`, ``_doc_term_match``, ``_phrase_at``,
 ``_exploded_names`` and :func:`explode_mesh`) re-tokenizes every document
@@ -41,8 +43,9 @@ import hashlib
 import json
 import re
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .collections import Corpus, CorpusDoc, MeshVocab
 from .query_ast import (
@@ -88,17 +91,18 @@ def tokenize(text: str) -> list[str]:
 @dataclass(frozen=True)
 class Index:
     """Immutable fielded index.  Every lookup is a dict probe or a bisect
-    range over sorted keys; phrases are checked against per-document token
-    arrays whose elements are one shared string object per distinct token."""
+    range over sorted keys.  Postings are lists that name each pmid once
+    per key; lookups copy them into fresh sets and never mutate them.
+    Phrases are verified by substring search in the stored spaced texts."""
 
-    postings: dict[str, dict[str, frozenset[str]]]          # field -> token -> pmids
+    postings: dict[str, dict[str, list[str]]]               # field -> token -> pmids
     sorted_tokens: dict[str, tuple[str, ...]]                # field -> sorted tokens, for `*`
-    token_arrays: dict[str, dict[str, tuple[str, ...]]]      # field -> pmid -> interned tokens
-    mesh_text: dict[str, tuple[tuple[str, ...], ...]]        # pmid -> interned tokens per name
-    descriptor_map: dict[str, frozenset[str]]                # lower name -> pmids
+    texts: dict[str, dict[str, str]]                         # title|abstract -> pmid -> spaced text
+    mesh_names: dict[str, tuple[str, ...]]                   # pmid -> spaced canonical MeSH names
+    descriptor_map: dict[str, list[str]]                     # lower name -> pmids
     sorted_descriptors: tuple[str, ...]                      # sorted descriptor_map keys
     mesh_trees: tuple[tuple[str, str], ...]                  # sorted (tree number, lower name)
-    pub_type_postings: dict[str, frozenset[str]]             # lower type -> pmids
+    pub_type_postings: dict[str, list[str]]                  # lower type -> pmids
     sorted_pub_types: tuple[str, ...]                        # sorted pub_type_postings keys
     all_pmids: frozenset[str]
     vocab: Optional[MeshVocab]
@@ -113,63 +117,65 @@ class Index:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _append_postings(postings: dict[str, list[str]], keys, pmid: str) -> None:
-    # Lists, not sets: a document adds each distinct key once, and appending
-    # is about twice as fast as set insertion.
-    get = postings.get
-    for key in set(keys):
-        pmids = get(key)
-        if pmids is None:
-            postings[key] = [pmid]
-        else:
-            pmids.append(pmid)
+def _spaced(tokens: list[str]) -> str:
+    """Tokens joined by single spaces, with a space at each end.  A phrase
+    occurs in a token sequence exactly where its own spaced form occurs as
+    a substring of the sequence's spaced form; a phrase whose last token is
+    truncated drops the closing space."""
+    return " " + " ".join(tokens) + " "
 
 
 def build_index(corpus: Corpus, vocab: Optional[MeshVocab] = None) -> Index:
-    postings: dict[str, dict[str, list[str]]] = {"title": {}, "abstract": {}, "mesh": {}}
-    token_arrays: dict[str, dict[str, tuple[str, ...]]] = {"title": {}, "abstract": {}}
-    mesh_text: dict[str, tuple[tuple[str, ...], ...]] = {}
-    descriptor_map: dict[str, list[str]] = {}
-    pub_types: dict[str, list[str]] = {}
-    # One string object per distinct token, shared by every array and
-    # postings key, so a token array costs a pointer per position.
-    shared: dict[str, str] = {}
-    intern = shared.setdefault
-    # Raw MeSH tag -> (lowercased canonical name, its interned tokens).
-    mesh_names: dict[str, tuple[str, tuple[str, ...]]] = {}
+    findall = _TOKEN_RE.findall
+    postings = {field: defaultdict(list) for field in ("title", "abstract", "mesh")}
+    texts: dict[str, dict[str, str]] = {"title": {}, "abstract": {}}
+    mesh_names: dict[str, tuple[str, ...]] = {}
+    descriptor_map: defaultdict[str, list[str]] = defaultdict(list)
+    pub_types: defaultdict[str, list[str]] = defaultdict(list)
+    # Raw MeSH tag -> (lowercased canonical name, its spaced form, its tokens).
+    canonical: dict[str, tuple[str, str, frozenset[str]]] = {}
 
+    for field in ("title", "abstract"):
+        field_postings, field_texts = postings[field], texts[field]
+        for pmid, doc in corpus.docs.items():
+            tokens = findall(getattr(doc, field).lower())
+            field_texts[pmid] = _spaced(tokens)
+            for tok in set(tokens):
+                field_postings[tok].append(pmid)
+    mesh_postings = postings["mesh"]
     for pmid, doc in corpus.docs.items():
-        for field, text in (("title", doc.title), ("abstract", doc.abstract)):
-            toks = tokenize(text)
-            tokens = tuple(map(intern, toks, toks))
-            token_arrays[field][pmid] = tokens
-            _append_postings(postings[field], tokens, pmid)
-        names = []
-        for name in doc.mesh_terms:
-            entry = mesh_names.get(name)
+        names, spaced = set(), []
+        mesh_tokens: set[str] = set()
+        for tag in doc.mesh_terms:
+            entry = canonical.get(tag)
             if entry is None:
-                descriptor = vocab.lookup(name) if vocab is not None else None
-                canonical = descriptor.name if descriptor is not None else name
-                toks = tokenize(canonical)
-                entry = mesh_names[name] = (canonical.lower(), tuple(map(intern, toks, toks)))
-            names.append(entry)
-        _append_postings(descriptor_map, (key for key, _ in names), pmid)
-        mesh_text[pmid] = tuple(tokens for _, tokens in names)
-        _append_postings(postings["mesh"], (tok for _, tokens in names for tok in tokens), pmid)
-        _append_postings(pub_types, (p.lower().strip() for p in doc.pub_types), pmid)
+                descriptor = vocab.lookup(tag) if vocab is not None else None
+                name = (descriptor.name if descriptor is not None else tag).lower()
+                tokens = findall(name)
+                entry = canonical[tag] = (name, _spaced(tokens), frozenset(tokens))
+            names.add(entry[0])
+            spaced.append(entry[1])
+            mesh_tokens |= entry[2]
+        mesh_names[pmid] = tuple(spaced)
+        for name in names:
+            descriptor_map[name].append(pmid)
+        for tok in mesh_tokens:
+            mesh_postings[tok].append(pmid)
+        for pub_type in {p.lower().strip() for p in doc.pub_types}:
+            pub_types[pub_type].append(pmid)
 
     mesh_trees = () if vocab is None else tuple(sorted(
         (tree, d.name.lower()) for d in vocab.descriptors.values() for tree in d.tree_numbers
     ))
     return Index(
-        postings={f: {t: frozenset(p) for t, p in toks.items()} for f, toks in postings.items()},
+        postings={f: dict(toks) for f, toks in postings.items()},
         sorted_tokens={f: tuple(sorted(toks)) for f, toks in postings.items()},
-        token_arrays=token_arrays,
-        mesh_text=mesh_text,
-        descriptor_map={n: frozenset(p) for n, p in descriptor_map.items()},
+        texts=texts,
+        mesh_names=mesh_names,
+        descriptor_map=dict(descriptor_map),
         sorted_descriptors=tuple(sorted(descriptor_map)),
         mesh_trees=mesh_trees,
-        pub_type_postings={t: frozenset(p) for t, p in pub_types.items()},
+        pub_type_postings=dict(pub_types),
         sorted_pub_types=tuple(sorted(pub_types)),
         all_pmids=frozenset(corpus.docs),
         vocab=vocab,
@@ -188,40 +194,8 @@ def _prefix_range(keys: tuple[str, ...], prefix: str) -> tuple[str, ...]:
     return keys[lo:hi]
 
 
-def _union(postings: dict[str, frozenset[str]], keys) -> set[str]:
-    return set().union(*[postings.get(key, frozenset()) for key in keys])
-
-
-def _index_phrase_matcher(
-    tokens: list[str], prefix_last: bool
-) -> Callable[[tuple[str, ...]], bool]:
-    """Predicate for a phrase of two or more tokens over one token array.
-
-    ``tuple.index`` jumps between occurrences of the first token in C; the
-    rest of the window is compared only there."""
-    k = len(tokens)
-    first, middle, last = tokens[0], tuple(tokens[1:-1]), tokens[-1]
-
-    def matches(arr: tuple[str, ...]) -> bool:
-        # Guard before computing end: a negative end would make tuple.index
-        # count from the back of the array.
-        if len(arr) < k:
-            return False
-        end = len(arr) - k + 1
-        i = 0
-        while True:
-            try:
-                i = arr.index(first, i, end)
-            except ValueError:
-                return False
-            tail = arr[i + k - 1]
-            if arr[i + 1 : i + k - 1] == middle and (
-                tail == last or (prefix_last and tail.startswith(last))
-            ):
-                return True
-            i += 1
-
-    return matches
+def _union(postings: dict[str, list[str]], keys) -> set[str]:
+    return set().union(*[postings.get(key, ()) for key in keys])
 
 
 def _index_field_match(idx: Index, fields: list[str], term: Term) -> set[str]:
@@ -235,20 +209,20 @@ def _index_field_match(idx: Index, fields: list[str], term: Term) -> set[str]:
             if term.truncated:
                 result |= _union(postings, _prefix_range(idx.sorted_tokens[field], tokens[0]))
             else:
-                result |= postings.get(tokens[0], frozenset())
+                result.update(postings.get(tokens[0], ()))
             continue
-        # Phrase: candidates contain every exactly-matched token, then the
-        # windows are checked in their token arrays.
+        # Phrase: candidates contain every exactly-matched token, then a
+        # substring search in their spaced texts verifies adjacency.
         exact = tokens[:-1] if term.truncated else tokens
-        candidates = frozenset.intersection(*(postings.get(tok, frozenset()) for tok in exact))
-        matches = _index_phrase_matcher(tokens, term.truncated)
+        lists = sorted((postings.get(tok, ()) for tok in exact), key=len)
+        candidates = set(lists[0]).intersection(*lists[1:])
+        needle = _spaced(tokens)[:-1] if term.truncated else _spaced(tokens)
         if field == "mesh":
-            result.update(
-                pmid for pmid in candidates if any(map(matches, idx.mesh_text[pmid]))
-            )
+            names = idx.mesh_names
+            result.update(p for p in candidates if any(needle in n for n in names[p]))
         else:
-            arrays = idx.token_arrays[field]
-            result.update(pmid for pmid in candidates if matches(arrays[pmid]))
+            texts = idx.texts[field]
+            result.update(p for p in candidates if needle in texts[p])
     return result
 
 

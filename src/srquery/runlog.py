@@ -4,12 +4,19 @@ Every pipeline event (generation, execution, evaluation) is one record.
 Records are never rewritten; re-running a stage skips run_ids it already
 produced, which makes stages idempotent.  Record JSON is key-sorted so a
 log is byte-stable apart from timestamps.
+
+An append that dies mid-write leaves an unterminated, unreadable final
+line.  Readers warn and skip it, and the next append cuts it off before
+writing, so one crash never locks the log.  An unreadable line anywhere
+else is corruption and stays an error.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import json
+import logging
+import os
 import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -23,6 +30,8 @@ __all__ = ["RunRecord", "RunLogError", "append_records", "read_records", "check_
 class RunLogError(ValueError):
     pass
 
+
+log = logging.getLogger(__name__)
 
 _WRITE_LOCK = threading.Lock()
 
@@ -64,6 +73,32 @@ def _now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat()
 
 
+def _decode(line: bytes) -> RunRecord:
+    return RunRecord.from_json(line.decode("utf-8"))
+
+
+def _heal_torn_tail(f) -> None:
+    """Cut off an unterminated, unreadable final line (a crashed append),
+    or terminate a complete final record, so the next write starts a line."""
+    size = f.seek(0, os.SEEK_END)
+    if size == 0:
+        return
+    f.seek(size - 1)
+    if f.read(1) == b"\n":
+        return
+    f.seek(0)
+    data = f.read()
+    start = data.rfind(b"\n") + 1
+    try:
+        _decode(data[start:])
+    except (ValueError, TypeError):
+        log.warning("%s: cutting torn final line %d before appending",
+                    f.name, data.count(b"\n", 0, start) + 1)
+        f.truncate(start)
+    else:
+        f.write(b"\n")
+
+
 def append_records(path, records: Iterable[RunRecord]) -> int:
     """Append records (stamping timestamps) through a single-writer lock."""
     lines = []
@@ -74,9 +109,9 @@ def append_records(path, records: Iterable[RunRecord]) -> int:
     if not lines:
         return 0
     with _WRITE_LOCK:
-        with open(path, "a", encoding="utf-8") as f:
-            for line in lines:
-                f.write(line + "\n")
+        with open(path, "a+b") as f:
+            _heal_torn_tail(f)
+            f.write("".join(line + "\n" for line in lines).encode("utf-8"))
     return len(lines)
 
 
@@ -85,13 +120,17 @@ def read_records(path) -> list[RunRecord]:
     if not path.exists():
         return []
     records = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(RunRecord.from_json(line))
-            except (json.JSONDecodeError, TypeError) as e:
+                records.append(_decode(line))
+            except (ValueError, TypeError) as e:
+                # Only the final line can lack its newline.
+                if not line.endswith(b"\n"):
+                    log.warning("%s: skipping torn final line %d: %s", path, line_no, e)
+                    continue
                 raise RunLogError(f"{path}:{line_no}: unreadable record: {e}") from e
     return records
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randgen import (
     fixture_vocab,
@@ -21,6 +23,7 @@ from srquery.retrieval import (
     execute_naive,
     explode_mesh,
     tokenize,
+    _phrase_at,
 )
 
 
@@ -41,7 +44,7 @@ def test_empty_corpus_answers_empty(vocab):
 
 def test_title_token_posting():
     idx = build_index(mini_corpus(p1="Thyroid cancer"))
-    assert idx.postings["title"]["thyroid"] == {"p1"}
+    assert idx.postings["title"]["thyroid"] == ["p1"]
 
 
 def test_rebuild_same_corpus_same_digest(corpus, vocab):
@@ -203,6 +206,59 @@ def test_local_equals_naive_on_hard_random_instances():
         for _ in range(3):
             q = random_hard_query(rng, vocab)
             assert execute_local(idx, q) == execute_naive(corpus, q, vocab)
+
+
+# The index verifies a phrase by substring search in spaced texts; the
+# oracle compares token windows.  Texts mix separators, digits, upper case
+# and characters whose lowercase form changes length or leaves [a-z0-9]
+# (İ -> i + U+0307, the Kelvin sign -> k); tokens repeat and prefix each
+# other.
+PHRASE_TOKENS = ("popi", "pop", "nezadi", "kap", "p1")
+PHRASE_VARIANTS = ("POPI", "Nezadi", "\u212aAP", "popİ", "xpopi", "popipopi")
+PHRASE_NOISE = "ab_-.\n 1PİK\u212aßé"
+
+
+def indexed_phrase_agrees(text: str, tokens: list[str], truncated: bool) -> bool:
+    idx = build_index(mini_corpus(p=text))
+    term = Term(" ".join(tokens), FieldTag(FieldKind.TITLE), truncated=truncated)
+    found = execute_local(idx, Query(term)) == {"p"}
+    assert found == _phrase_at(tuple(tokenize(text)), tokens, truncated), (text, tokens, truncated)
+    return found
+
+
+@st.composite
+def phrase_cases(draw):
+    tokens = draw(st.lists(st.sampled_from(PHRASE_TOKENS), min_size=2, max_size=4))
+    separator = st.one_of(st.just(" "), st.text(alphabet=PHRASE_NOISE, max_size=3))
+    # Words are the phrase's own tokens, their variants, or the whole phrase
+    # with drawn separators, so that matches and near misses are common.
+    whole = st.lists(separator, min_size=len(tokens) - 1, max_size=len(tokens) - 1).map(
+        lambda seps: tokens[0] + "".join(sep + tok for sep, tok in zip(seps, tokens[1:]))
+    )
+    word = st.one_of(st.sampled_from(tokens), st.sampled_from(PHRASE_VARIANTS), whole)
+    pieces = draw(st.lists(st.tuples(word, separator), max_size=8))
+    return "".join(w + sep for w, sep in pieces), tokens, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(phrase_cases())
+def test_indexed_phrase_equals_phrase_at(case):
+    indexed_phrase_agrees(*case)
+
+
+@pytest.mark.parametrize("text, tokens, truncated, found", [
+    ("xpopi nezadi", ["popi", "nezadi"], False, False),
+    ("popi_nezadi", ["popi", "nezadi"], False, True),
+    ("popipopi nezadi", ["popi", "nezadi"], False, False),
+    ("popi popi nezadi", ["popi", "nezadi"], False, True),
+    ("popi nezadi and more", ["popi", "nezadi"], False, True),
+    ("and more POPI-nezadi", ["popi", "nezadi"], False, True),
+    ("popi nezadix", ["popi", "nezadi"], False, False),
+    ("popi nezadix", ["popi", "nezadi"], True, True),
+    ("popi nezad", ["popi", "nezadi"], True, False),
+])
+def test_indexed_phrase_pinned_cases(text, tokens, truncated, found):
+    assert indexed_phrase_agrees(text, tokens, truncated) is found
 
 
 def test_naive_empty_corpus():
