@@ -38,7 +38,6 @@ __all__ = [
     "MissingFieldError",
     "load_topics",
     "write_topics",
-    "dedupe_topics",
     "load_qrels",
     "write_qrels",
     "load_corpus",
@@ -254,18 +253,6 @@ def write_topics(topics: Iterable[ReviewTopic], path) -> None:
                     for s in t.seed_studies
                 ]
             f.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
-
-
-def dedupe_topics(a: list[ReviewTopic], b: list[ReviewTopic]) -> list[ReviewTopic]:
-    """Union of two topic lists keyed by topic_id; first occurrence wins."""
-    out: list[ReviewTopic] = []
-    seen: set[str] = set()
-    for topic in list(a) + list(b):
-        if topic.topic_id in seen:
-            continue
-        seen.add(topic.topic_id)
-        out.append(topic)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Chat-backend gateway: single-prompt and guided multi-turn generation,
 query extraction from free-text responses, and retry on malformed output.
 
+Both generation drivers are step lists for one retry loop
+(``_run_session``): a single-prompt generation is the one-step case, the
+guided session the four-step one.
+
 The mock backend makes the whole gateway a deterministic function of
 (prompts, fixtures, config); the http backend speaks the usual
 chat-completions JSON contract against a configurable base URL with the
@@ -392,9 +396,6 @@ class CategorizedTerm:
 class CategorizedTerms:
     entries: tuple[CategorizedTerm, ...]
 
-    def in_category(self, category: str) -> list[str]:
-        return [e.text for e in self.entries if e.category == category]
-
 
 def parse_categorized_list(response: str) -> CategorizedTerms:
     """Parse ``N. (CAT) term`` lines with CAT in A/B/C/N-A."""
@@ -431,32 +432,41 @@ class GenerationOutcome:
     failures: tuple[str, ...] = ()
 
 
-def generate_with_retry(prompt: str, cfg: BackendConfig, backend=None) -> GenerationOutcome:
-    """One fresh single-turn conversation per attempt until a response
-    yields a valid query."""
+def _run_session(steps, cfg: BackendConfig, backend=None) -> GenerationOutcome:
+    """The one retry loop.  Each attempt plays every ``(prompt, check)`` step
+    in one fresh conversation; a check that rejects its response restarts
+    the session, up to ``cfg.max_retries`` times.  The last step's checked
+    result is the query."""
     backend = backend if backend is not None else make_backend(cfg)
     raw: list[str] = []
     failures: list[str] = []
-    attempts = 0
-    for _ in range(cfg.max_retries + 1):
-        attempts += 1
+    for attempt in range(1, cfg.max_retries + 2):
         conv = Conversation()
-        conv.append("user", prompt)
-        response = complete(conv, backend)
-        raw.append(response)
-        try:
-            query = extract_query(response)
-        except NoParsableQueryError as e:
-            failures.append(f"attempt {attempts}: {e}")
-            continue
-        return GenerationOutcome(
-            query=query,
-            attempts=attempts,
-            conversation_log=conv,
-            raw_responses=tuple(raw),
-            failures=tuple(failures),
-        )
-    raise ExhaustedRetriesError(attempts, failures[-1] if failures else "")
+        for step_no, (prompt, check) in enumerate(steps, start=1):
+            conv.append("user", prompt)
+            response = complete(conv, backend)
+            raw.append(response)
+            try:
+                result = check(response)
+            except (ResponseFormatError, NoParsableQueryError) as e:
+                step = f" step {step_no}" if len(steps) > 1 else ""
+                failures.append(f"attempt {attempt}{step}: {e}")
+                break
+        else:
+            return GenerationOutcome(
+                query=result,
+                attempts=attempt,
+                conversation_log=conv,
+                raw_responses=tuple(raw),
+                failures=tuple(failures),
+            )
+    raise ExhaustedRetriesError(cfg.max_retries + 1, failures[-1])
+
+
+def generate_with_retry(prompt: str, cfg: BackendConfig, backend=None) -> GenerationOutcome:
+    """One fresh single-turn conversation per attempt until a response
+    yields a valid query."""
+    return _run_session([(prompt, extract_query)], cfg, backend)
 
 
 def _truncate_abstract(text: str) -> str:
@@ -483,7 +493,6 @@ def run_guided_session(
         raise EmptySeedStudyError(
             f"guided session for topic {topic.topic_id} needs a seed with title and abstract"
         )
-    backend = backend if backend is not None else make_backend(cfg)
     step1 = render(
         "guided_step1",
         PromptBindings(
@@ -497,35 +506,4 @@ def run_guided_session(
         (render("guided_step3", PromptBindings()), extract_query),
         (render("guided_step4", PromptBindings()), extract_query),
     ]
-
-    raw: list[str] = []
-    failures: list[str] = []
-    attempts = 0
-    for _ in range(cfg.max_retries + 1):
-        attempts += 1
-        conv = Conversation()
-        final_query: Optional[Query] = None
-        failed = False
-        for step_no, (prompt, check) in enumerate(steps, start=1):
-            conv.append("user", prompt)
-            response = complete(conv, backend)
-            raw.append(response)
-            try:
-                result = check(response)
-            except (ResponseFormatError, NoParsableQueryError) as e:
-                failures.append(f"attempt {attempts} step {step_no}: {e}")
-                failed = True
-                break
-            if step_no == 4:
-                final_query = result
-        if failed:
-            continue
-        assert final_query is not None
-        return GenerationOutcome(
-            query=final_query,
-            attempts=attempts,
-            conversation_log=conv,
-            raw_responses=tuple(raw),
-            failures=tuple(failures),
-        )
-    raise ExhaustedRetriesError(attempts, failures[-1] if failures else "")
+    return _run_session(steps, cfg, backend)

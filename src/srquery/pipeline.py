@@ -5,6 +5,11 @@ Stages communicate only through the append-only run log and the on-disk
 result cache, so each one can be re-run safely: work already recorded is
 skipped, per-topic failures are recorded without aborting the batch, and
 with the mock backend the whole pipeline is deterministic.
+
+The three generation stages (formulate, refine, guided) differ only in
+their usage checks and in how they build each cell of the experiment
+grid; one runner, ``_generate``, skips recorded cells, records outcomes
+and errors, and runs topics in parallel for all of them.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, asdict
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -268,31 +274,47 @@ def cmd_ingest(cfg: AppConfig) -> dict:
 # formulate / refine / guided
 # ---------------------------------------------------------------------------
 
-def _generation_record(
-    run_id: str,
-    topic_id: str,
-    prompt_id: str,
-    example_mode: str,
-    seed_source: str,
-    run_index: int,
-    cfg: AppConfig,
-    outcome=None,
-    error: Optional[Exception] = None,
-) -> RunRecord:
-    if error is not None:
-        return RunRecord(
-            run_id=run_id, stage="generate", topic_id=topic_id, prompt_id=prompt_id,
-            example_mode=example_mode, seed_source=seed_source, run_index=run_index,
-            backend=cfg.backend.describe(), status="error", error=str(error),
-        )
-    canonical = serialize(outcome.query)
-    return RunRecord(
-        run_id=run_id, stage="generate", topic_id=topic_id, prompt_id=prompt_id,
-        example_mode=example_mode, seed_source=seed_source, run_index=run_index,
-        attempt=outcome.attempts, backend=cfg.backend.describe(),
-        raw_response_digest=_sha(outcome.raw_responses[-1]),
-        query=canonical, query_digest=ez.query_digest(canonical),
-    )
+_GENERATION_ERRORS = (
+    GatewayError, EmptyPoolError, MissingBindingError, QueryParseError,
+    MissingSeedQueryError, EmptySeedStudyError, NoSeedStudyError,
+)
+
+
+def _generate(cfg: AppConfig, topics: list[colls.ReviewTopic], stage: str, prompt_id: str,
+              example_mode: str, seed_source: str, jobs) -> list[RunRecord]:
+    """The one generation runner.  ``jobs(topic)`` lists the topic's
+    ``(run_id, run_index, make)`` cells; each cell not yet in the run log
+    is recorded as ``make()``'s outcome or, on a per-topic failure, as an
+    error.  Topics run in parallel, their cells in order."""
+    existing = _existing_run_ids(cfg)
+    backend_label = cfg.backend.describe()
+
+    def run_topic(topic: colls.ReviewTopic) -> list[RunRecord]:
+        out = []
+        for run_id, run_index, make in jobs(topic):
+            if run_id in existing:
+                continue
+            base = dict(
+                run_id=run_id, stage="generate", topic_id=topic.topic_id,
+                prompt_id=prompt_id, example_mode=example_mode, seed_source=seed_source,
+                run_index=run_index, backend=backend_label,
+            )
+            try:
+                outcome = make()
+                canonical = serialize(outcome.query)
+                out.append(RunRecord(
+                    **base, attempt=outcome.attempts,
+                    raw_response_digest=_sha(outcome.raw_responses[-1]),
+                    query=canonical, query_digest=ez.query_digest(canonical),
+                ))
+            except _GENERATION_ERRORS as e:
+                log.warning("%s %s: %s", stage, run_id, e)
+                out.append(RunRecord(**base, status="error", error=str(e)))
+        return out
+
+    records = _run_parallel([partial(run_topic, t) for t in topics], cfg.parallelism)
+    append_records(cfg.runlog, records)
+    return records
 
 
 def cmd_formulate(cfg: AppConfig, prompt_id: str, example_mode: str = "none",
@@ -311,38 +333,20 @@ def cmd_formulate(cfg: AppConfig, prompt_id: str, example_mode: str = "none",
     topics = cfg.load_topics()
     pool = _example_pool(topics) if example_mode == "re" else []
     backend = backend if backend is not None else make_backend(cfg.backend)
-    existing = _existing_run_ids(cfg)
 
-    def task_for(topic: colls.ReviewTopic) -> Callable[[], list[RunRecord]]:
-        def task() -> list[RunRecord]:
-            out = []
-            for run_index in range(cfg.runs_per_topic):
-                run_id = f"gen:{prompt_id}:{example_mode}:-:{topic.topic_id}:r{run_index}"
-                if run_id in existing:
-                    continue
-                try:
-                    example = _resolve_example(topic, example_mode, pool)
-                    bindings = PromptBindings(
-                        review_title=topic.title,
-                        example_review_title=example.title if example else None,
-                        example_review_query=example.query_text if example else None,
-                    )
-                    prompt = render(prompt_id, bindings)
-                    outcome = generate_with_retry(prompt, cfg.backend, backend=backend)
-                    out.append(_generation_record(
-                        run_id, topic.topic_id, prompt_id, example_mode, "", run_index,
-                        cfg, outcome=outcome))
-                except (GatewayError, EmptyPoolError, MissingBindingError, QueryParseError) as e:
-                    log.warning("formulate %s %s: %s", prompt_id, topic.topic_id, e)
-                    out.append(_generation_record(
-                        run_id, topic.topic_id, prompt_id, example_mode, "", run_index,
-                        cfg, error=e))
-            return out
-        return task
+    def jobs(topic: colls.ReviewTopic):
+        def make():
+            example = _resolve_example(topic, example_mode, pool)
+            prompt = render(prompt_id, PromptBindings(
+                review_title=topic.title,
+                example_review_title=example.title if example else None,
+                example_review_query=example.query_text if example else None,
+            ))
+            return generate_with_retry(prompt, cfg.backend, backend=backend)
+        return [(f"gen:{prompt_id}:{example_mode}:-:{topic.topic_id}:r{i}", i, make)
+                for i in range(cfg.runs_per_topic)]
 
-    records = _run_parallel([task_for(t) for t in topics], cfg.parallelism)
-    append_records(cfg.runlog, records)
-    return records
+    return _generate(cfg, topics, "formulate", prompt_id, example_mode, "", jobs)
 
 
 def _refinement_pool(
@@ -410,48 +414,26 @@ def cmd_refine(cfg: AppConfig, prompt_id: str, seed_source: str,
     # seed query, its expert original query); topics missing either drop out.
     pool = _refinement_pool(topics, seeds) if example_mode == "re" else []
     backend = backend if backend is not None else make_backend(cfg.backend)
-    existing = _existing_run_ids(cfg)
 
-    def task_for(topic: colls.ReviewTopic) -> Callable[[], list[RunRecord]]:
-        def task() -> list[RunRecord]:
-            out = []
-            for run_index in range(cfg.runs_per_topic):
-                run_id = f"gen:{prompt_id}:{example_mode}:{seed_source}:{topic.topic_id}:r{run_index}"
-                if run_id in existing:
-                    continue
-                try:
-                    if topic.topic_id not in seeds:
-                        raise MissingSeedQueryError(
-                            f"no {seed_source} seed query for topic {topic.topic_id}"
-                        )
-                    example = _resolve_example(topic, example_mode, pool)
-                    bindings = PromptBindings(
-                        review_title=topic.title,
-                        initial_query=seeds[topic.topic_id],
-                        example_review_title=example.title if example else None,
-                        example_review_initial_query=example.query_text if example else None,
-                        example_review_refined_query=(
-                            example.refined_query_text if example else None
-                        ),
-                    )
-                    prompt = render(prompt_id, bindings)
-                    outcome = generate_with_retry(prompt, cfg.backend, backend=backend)
-                    record = _generation_record(
-                        run_id, topic.topic_id, prompt_id, example_mode, seed_source,
-                        run_index, cfg, outcome=outcome)
-                except (GatewayError, EmptyPoolError, MissingBindingError,
-                        MissingSeedQueryError, QueryParseError) as e:
-                    log.warning("refine %s %s: %s", prompt_id, topic.topic_id, e)
-                    record = _generation_record(
-                        run_id, topic.topic_id, prompt_id, example_mode, seed_source,
-                        run_index, cfg, error=e)
-                out.append(record)
-            return out
-        return task
+    def jobs(topic: colls.ReviewTopic):
+        def make():
+            if topic.topic_id not in seeds:
+                raise MissingSeedQueryError(
+                    f"no {seed_source} seed query for topic {topic.topic_id}"
+                )
+            example = _resolve_example(topic, example_mode, pool)
+            prompt = render(prompt_id, PromptBindings(
+                review_title=topic.title,
+                initial_query=seeds[topic.topic_id],
+                example_review_title=example.title if example else None,
+                example_review_initial_query=example.query_text if example else None,
+                example_review_refined_query=example.refined_query_text if example else None,
+            ))
+            return generate_with_retry(prompt, cfg.backend, backend=backend)
+        return [(f"gen:{prompt_id}:{example_mode}:{seed_source}:{topic.topic_id}:r{i}", i, make)
+                for i in range(cfg.runs_per_topic)]
 
-    records = _run_parallel([task_for(t) for t in topics], cfg.parallelism)
-    append_records(cfg.runlog, records)
-    return records
+    return _generate(cfg, topics, "refine", prompt_id, example_mode, seed_source, jobs)
 
 
 def cmd_guided(cfg: AppConfig, backend=None) -> list[RunRecord]:
@@ -460,42 +442,23 @@ def cmd_guided(cfg: AppConfig, backend=None) -> list[RunRecord]:
     cfg.ensure_dirs()
     topics = cfg.load_topics()
     backend = backend if backend is not None else make_backend(cfg.backend)
-    existing = _existing_run_ids(cfg)
 
-    def task_for(topic: colls.ReviewTopic) -> Callable[[], list[RunRecord]]:
-        def task() -> list[RunRecord]:
-            out = []
-            if not topic.seed_studies:
-                run_id = f"gen:guided:none:-:{topic.topic_id}:r0"
-                if run_id not in existing:
-                    out.append(_generation_record(
-                        run_id, topic.topic_id, "guided", "none", "", 0, cfg,
-                        error=NoSeedStudyError(f"topic {topic.topic_id} has no seed study")))
-                return out
-            for seed_ordinal, seed in enumerate(topic.seed_studies):
-                for attempt_index in range(cfg.runs_per_topic):
-                    # One flat run_index per (seed, repeat) so downstream
-                    # analysis sees each session as a distinct run.
-                    run_index = seed_ordinal * cfg.runs_per_topic + attempt_index
-                    run_id = f"gen:guided:none:s{seed.pmid}:{topic.topic_id}:r{attempt_index}"
-                    if run_id in existing:
-                        continue
-                    try:
-                        outcome = run_guided_session(topic, seed, cfg.backend, backend=backend)
-                        out.append(_generation_record(
-                            run_id, topic.topic_id, "guided", "none", "", run_index,
-                            cfg, outcome=outcome))
-                    except (GatewayError, EmptySeedStudyError) as e:
-                        log.warning("guided %s seed %s: %s", topic.topic_id, seed.pmid, e)
-                        out.append(_generation_record(
-                            run_id, topic.topic_id, "guided", "none", "", run_index,
-                            cfg, error=e))
-            return out
-        return task
+    def jobs(topic: colls.ReviewTopic):
+        if not topic.seed_studies:
+            def no_seed():
+                raise NoSeedStudyError(f"topic {topic.topic_id} has no seed study")
+            return [(f"gen:guided:none:-:{topic.topic_id}:r0", 0, no_seed)]
+        # One flat run_index per (seed, repeat) so downstream analysis sees
+        # each session as a distinct run.
+        return [
+            (f"gen:guided:none:s{seed.pmid}:{topic.topic_id}:r{i}",
+             ordinal * cfg.runs_per_topic + i,
+             lambda seed=seed: run_guided_session(topic, seed, cfg.backend, backend=backend))
+            for ordinal, seed in enumerate(topic.seed_studies)
+            for i in range(cfg.runs_per_topic)
+        ]
 
-    records = _run_parallel([task_for(t) for t in topics], cfg.parallelism)
-    append_records(cfg.runlog, records)
-    return records
+    return _generate(cfg, topics, "guided", "guided", "none", "", jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import re
-import threading
 from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Callable, Optional, Sequence
-
-import requests
 
 from .collections import ReviewTopic
 from .query_ast import parse
@@ -38,7 +34,6 @@ __all__ = [
     "dice_score",
     "select_related_example",
     "hqe_example",
-    "EmbeddingScorer",
 ]
 
 TEMPLATE_IDS = (
@@ -187,39 +182,3 @@ def hqe_example() -> ExampleReview:
         refined_query_text=obj.get("refined_query"),
     )
 
-
-class EmbeddingScorer:
-    """Scores title pairs by cosine similarity of vectors from an external
-    embedding service (POST {"texts": [...]} -> {"vectors": [[...], ...]}).
-
-    A drop-in alternative to :func:`dice_score` for related-example
-    selection when a semantic model is available.  Safe for concurrent
-    scoring calls (per-thread connections).
-    """
-
-    def __init__(self, base_url: str, api_key: Optional[str] = None, timeout: float = 30.0):
-        self.base_url = base_url
-        self.api_key = api_key
-        self.timeout = timeout
-        self._local = threading.local()
-
-    def _session(self) -> requests.Session:
-        if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
-        return self._local.session
-
-    def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        resp = self._session().post(
-            self.base_url, json={"texts": list(texts)}, headers=headers, timeout=self.timeout
-        )
-        resp.raise_for_status()
-        return resp.json()["vectors"]
-
-    def __call__(self, a: str, b: str) -> float:
-        va, vb = self.embed([a, b])
-        dot = sum(x * y for x, y in zip(va, vb))
-        norm = math.sqrt(sum(x * x for x in va)) * math.sqrt(sum(y * y for y in vb))
-        return dot / norm if norm else 0.0

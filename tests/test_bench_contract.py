@@ -24,6 +24,11 @@ import srquery.ratelimit as ratelimit  # noqa: E402
 import srquery.retrieval as rt  # noqa: E402
 import srquery.runlog as rl  # noqa: E402
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures" / "collection"
+GUIDED_ANSWERS = json.loads(
+    (Path(__file__).resolve().parent / "fixtures" / "guided_answers.json").read_text()
+)
+
 
 def test_tracer_finds_every_entry_point():
     tracer = Tracer()
@@ -51,3 +56,38 @@ def test_stage_calls_of_the_child_bind():
             if stage == "refine" and len(args) == 3:
                 args, kwargs["example_mode"] = args[:2], args[2]
             inspect.signature(getattr(pl, f"cmd_{stage}")).bind(None, *args, **kwargs)
+
+
+def test_tracer_sees_every_generation_call_path(tmp_path):
+    # The tracer counts generations through the names it rebinds in
+    # srquery.pipeline; a stage that reached them any other way (say, from
+    # a table filled at import time) would read as zero calls.
+    def config(topics_file):
+        return pl.AppConfig(
+            topics=str(FIXTURES / topics_file), qrels=str(FIXTURES / "qrels.txt"),
+            corpus=str(FIXTURES / "corpus.jsonl"), mesh=str(FIXTURES / "mesh.tsv"),
+            runlog=str(tmp_path / topics_file / "runlog.jsonl"),
+            cache_dir=str(tmp_path / "cache"), report_dir=str(tmp_path / "reports"),
+            backend=gw.BackendConfig(kind="mock"),
+        )
+
+    query = "(traced[tiab] AND query[tiab])"
+    guided = [GUIDED_ANSWERS[k] for k in ("step1", "step2", "step3", "step4")]
+    tracer = Tracer()
+    tracer.install((pl, gw, ez, colls, rt, rl, pr, ratelimit))
+    try:
+        records = pl.cmd_formulate(config("topics.jsonl"), "q4", "re",
+                                   backend=gw.MockBackend(script=[query] * 3))
+        records += pl.cmd_refine(config("topics.jsonl"), "q6", "original",
+                                 backend=gw.MockBackend(script=[query] * 3))
+        records += pl.cmd_guided(config("seed_topics.jsonl"),
+                                 backend=gw.MockBackend(script=guided * 3))
+    finally:
+        tracer.uninstall()
+    names = {span.name for span in tracer.spans}
+    assert {"pipeline.formulate", "pipeline.refine", "pipeline.guided", "gateway.generate",
+            "prompts.render", "prompts.select_related_example",
+            "runlog.append_records"} <= names
+    ok = sum(r.status == "ok" for r in records)
+    assert ok > 0
+    assert tracer.counts["gateway.generate.ok"] == ok

@@ -6,8 +6,6 @@ from srquery.collections import (
     MalformedLineError,
     MissingFieldError,
     NegativeGradeError,
-    ReviewTopic,
-    dedupe_topics,
     load_corpus,
     load_mesh,
     load_qrels,
@@ -15,10 +13,6 @@ from srquery.collections import (
     write_qrels,
     write_topics,
 )
-
-
-def _topic(i, tag="CLEF"):
-    return ReviewTopic(topic_id=f"CD{i:06d}", title=f"topic {i}", collection_tag=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -80,28 +74,6 @@ def test_topics_round_trip(tmp_path, topics, seed_topics):
     write_topics(topics + seed_topics, path)
     again = load_topics(path)
     assert again == topics + seed_topics
-
-
-def test_dedupe_topics_union_counts():
-    a = [_topic(i) for i in range(30)]
-    b = [_topic(i) for i in range(30, 72)]
-    assert len(dedupe_topics(a, b)) == 72
-
-
-def test_dedupe_topics_idempotent_and_identity():
-    a = [_topic(i) for i in range(5)]
-    assert dedupe_topics(a, a) == a
-    assert dedupe_topics([], a) == a
-    assert dedupe_topics(a, []) == a
-
-
-def test_dedupe_topics_first_occurrence_wins():
-    a = [ReviewTopic("CD1", "from a")]
-    b = [ReviewTopic("CD1", "from b"), ReviewTopic("CD2", "only b")]
-    merged = dedupe_topics(a, b)
-    assert merged[0].title == "from a"
-    assert {t.topic_id for t in merged} == {"CD1", "CD2"}
-    assert len(merged) <= len(a) + len(b)
 
 
 # ---------------------------------------------------------------------------

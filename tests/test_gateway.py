@@ -216,6 +216,17 @@ def test_retry_exhaustion():
     assert backend.calls == 4  # max_retries + 1 attempts
 
 
+def test_exhausted_retries_text():
+    # This text lands verbatim in run-log error records.
+    backend = MockBackend(script=[INVALID] * 4)
+    with pytest.raises(ExhaustedRetriesError) as exc:
+        generate_with_retry("prompt", make_cfg(max_retries=3), backend=backend)
+    assert str(exc.value) == (
+        "no valid query after 4 attempts "
+        "(attempt 4: response contains no parsable Boolean query)"
+    )
+
+
 def test_attempts_never_exceed_budget():
     for retries in (0, 1, 2):
         backend = MockBackend(script=[INVALID] * 10)
@@ -311,6 +322,15 @@ def test_guided_session_exhausts_retries():
     backend = MockBackend(script=bad)
     with pytest.raises(ExhaustedRetriesError):
         run_guided_session(TOPIC, SEED, make_cfg(max_retries=1), backend=backend)
+
+
+def test_guided_session_exhausted_text_names_the_step():
+    bad = [GUIDED_ANSWERS["step1"], "nonsense"] * 2
+    with pytest.raises(ExhaustedRetriesError) as exc:
+        run_guided_session(TOPIC, SEED, make_cfg(max_retries=1), backend=MockBackend(script=bad))
+    assert str(exc.value) == (
+        "no valid query after 2 attempts (attempt 2 step 2: no categorized lines found)"
+    )
 
 
 def test_guided_session_requires_seed_text():

@@ -5,7 +5,6 @@ import pytest
 from srquery.collections import ReviewTopic
 from srquery.prompts import (
     TEMPLATE_IDS,
-    EmbeddingScorer,
     EmptyPoolError,
     ExampleReview,
     MissingBindingError,
@@ -173,14 +172,3 @@ def test_hqe_query_parses():
     q = parse(example.query_text)  # ExampleReview already parses it; be explicit
     assert q is not None
 
-
-# ---------------------------------------------------------------------------
-# embedding scorer
-# ---------------------------------------------------------------------------
-
-def test_embedding_scorer_cosine(monkeypatch):
-    scorer = EmbeddingScorer("http://unused.invalid")
-    monkeypatch.setattr(scorer, "embed", lambda texts: [[1.0, 0.0], [1.0, 0.0]])
-    assert scorer("a", "b") == pytest.approx(1.0)
-    monkeypatch.setattr(scorer, "embed", lambda texts: [[1.0, 0.0], [0.0, 1.0]])
-    assert scorer("a", "b") == pytest.approx(0.0)
