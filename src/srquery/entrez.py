@@ -1,8 +1,10 @@
 """PubMed Entrez esearch client: pagination, shared rate limiting, and an
 on-disk result cache keyed by query digest.
 
-NCBI allows 3 requests/second without an API key and 10 with one; the
-limiter enforces whichever bound applies across all concurrent callers.
+Each page is one call of the shared transport, ``ratelimit.request_json``,
+which retries 429 and 5xx and raises ``HttpError`` (re-exported here).  NCBI
+allows 3 requests/second without an API key and 10 with one; the limiter
+enforces whichever bound applies across all concurrent callers.
 Because the live index drifts over time, every cached result records when
 it was fetched.
 """
@@ -15,14 +17,13 @@ import json
 import logging
 import os
 import tempfile
+import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-import requests
-
 from .query_ast import Query, serialize
-from .ratelimit import RateLimiter
+from .ratelimit import HttpError, RateLimiter, request_json
 
 __all__ = [
     "EntrezConfig",
@@ -44,12 +45,6 @@ MAX_RETMAX = 10_000
 
 class EntrezError(Exception):
     pass
-
-
-class HttpError(EntrezError):
-    def __init__(self, status: int, detail: str = ""):
-        super().__init__(f"HTTP {status}{': ' + detail if detail else ''}")
-        self.status = status
 
 
 class ApiError(EntrezError):
@@ -138,7 +133,6 @@ def store_result(cache_dir, digest: str, pmids: list[str]) -> None:
 def entrez_search(
     q: Query,
     cfg: EntrezConfig,
-    session: Optional[requests.Session] = None,
     limiter: Optional[RateLimiter] = None,
 ) -> set[str]:
     """Run esearch for the query's canonical serialization and return the
@@ -150,29 +144,20 @@ def entrez_search(
         if cached is not None:
             return set(cached)
 
-    session = session or requests.Session()
     limiter = limiter or RateLimiter(cfg.effective_rate())
     url = cfg.base_url.rstrip("/") + "/esearch.fcgi"
+    params = {"db": "pubmed", "term": term, "retmax": cfg.retmax, "retmode": "json"}
+    api_key = cfg.effective_api_key()
+    if api_key:
+        params["api_key"] = api_key
 
     pmids: list[str] = []
     retstart = 0
     count: Optional[int] = None
     while count is None or retstart < count:
-        params = {
-            "db": "pubmed",
-            "term": term,
-            "retmax": str(cfg.retmax),
-            "retstart": str(retstart),
-            "retmode": "json",
-        }
-        api_key = cfg.effective_api_key()
-        if api_key:
-            params["api_key"] = api_key
-        limiter.acquire()
-        resp = session.get(url, params=params, timeout=cfg.timeout)
-        if resp.status_code != 200:
-            raise HttpError(resp.status_code, resp.text[:200])
-        body = resp.json()
+        params["retstart"] = retstart
+        body = request_json(f"{url}?{urllib.parse.urlencode(params)}",
+                            timeout=cfg.timeout, limiter=limiter)
         if "esearchresult" not in body:
             raise ApiError(f"malformed esearch response: {list(body)[:5]}")
         result = body["esearchresult"]

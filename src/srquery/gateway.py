@@ -8,7 +8,9 @@ guided session the four-step one.
 The mock backend makes the whole gateway a deterministic function of
 (prompts, fixtures, config); the http backend speaks the usual
 chat-completions JSON contract against a configurable base URL with the
-credential taken from ``LLM_API_KEY``.
+credential taken from ``LLM_API_KEY``, through the shared transport
+``ratelimit.request_json``, which retries 429 and 5xx and raises
+``HttpError`` (re-exported here).
 """
 
 from __future__ import annotations
@@ -22,12 +24,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import requests
-
 from .collections import ReviewTopic, SeedStudy
 from .prompts import PromptBindings, render
 from .query_ast import Query, QueryParseError, Term, parse, validate
-from .ratelimit import RateLimiter
+from .ratelimit import HttpError, RateLimiter, request_json
 
 __all__ = [
     "Message",
@@ -47,7 +47,6 @@ __all__ = [
     "parse_categorized_list",
     "run_guided_session",
     "GatewayError",
-    "RequestTimeoutError",
     "HttpError",
     "MissingFixtureResponseError",
     "NoParsableQueryError",
@@ -67,16 +66,6 @@ MAX_SEED_ABSTRACT_TOKENS = 3000
 
 class GatewayError(Exception):
     pass
-
-
-class RequestTimeoutError(GatewayError):
-    pass
-
-
-class HttpError(GatewayError):
-    def __init__(self, status: int, detail: str = ""):
-        super().__init__(f"HTTP {status}{': ' + detail if detail else ''}")
-        self.status = status
 
 
 class MissingFixtureResponseError(GatewayError):
@@ -205,6 +194,7 @@ class MockBackend:
         self.fixtures = dict(fixtures or {})
         self.script = list(script or [])
         self.calls = 0
+        self._lock = threading.Lock()
 
     @classmethod
     def from_file(cls, path) -> "MockBackend":
@@ -212,9 +202,10 @@ class MockBackend:
             return cls(fixtures=json.load(f))
 
     def complete(self, conv: Conversation) -> str:
-        self.calls += 1
-        if self.script:
-            return self.script.pop(0)
+        with self._lock:  # concurrent sessions must not both take the last answer
+            self.calls += 1
+            if self.script:
+                return self.script.pop(0)
         digest = conversation_digest(conv)
         if digest not in self.fixtures:
             raise MissingFixtureResponseError(f"no fixture for conversation digest {digest}")
@@ -223,61 +214,27 @@ class MockBackend:
 
 class HttpBackend:
     """Chat-completions client: POST base_url with a role/content message
-    array, bearer credential from ``LLM_API_KEY``.
+    array, bearer credential from ``LLM_API_KEY``.  Safe for concurrent
+    sessions: the optional rate limit is shared by every caller."""
 
-    Safe for concurrent sessions: connections are per thread and the
-    optional rate limit is shared by every caller of this backend.
-    """
-
-    RETRYABLE = {429, 500, 502, 503, 504}
-
-    def __init__(self, cfg: BackendConfig, session: Optional[requests.Session] = None):
+    def __init__(self, cfg: BackendConfig):
         self.cfg = cfg
-        self._fixed_session = session
-        self._local = threading.local()
         self._limiter = RateLimiter(cfg.rate_limit) if cfg.rate_limit else None
-
-    def _session(self) -> requests.Session:
-        if self._fixed_session is not None:
-            return self._fixed_session
-        if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
-        return self._local.session
 
     def complete(self, conv: Conversation) -> str:
         api_key = os.environ.get("LLM_API_KEY")
         if not api_key:
             raise GatewayError("http backend requires a credential in LLM_API_KEY")
-        headers = {
-            "Content-Type": "application/json",
-            "Authorization": f"Bearer {api_key}",
-        }
         payload = {
             "model": self.cfg.model_name,
             "messages": conv.as_payload(),
             "temperature": self.cfg.temperature,
         }
-        last_status = None
-        for attempt in range(self.cfg.http_attempts):
-            if attempt:
-                time.sleep(self.cfg.backoff_base * (2 ** (attempt - 1)))
-            if self._limiter is not None:
-                self._limiter.acquire()
-            try:
-                resp = self._session().post(
-                    self.cfg.base_url, json=payload, headers=headers, timeout=self.cfg.timeout
-                )
-            except requests.Timeout as e:
-                raise RequestTimeoutError(str(e)) from e
-            except requests.RequestException as e:
-                raise HttpError(0, str(e)) from e
-            if resp.status_code == 200:
-                body = resp.json()
-                return body["choices"][0]["message"]["content"]
-            last_status = resp.status_code
-            if resp.status_code not in self.RETRYABLE:
-                raise HttpError(resp.status_code, resp.text[:200])
-        raise HttpError(last_status or 0, "retries exhausted")
+        body = request_json(self.cfg.base_url, timeout=self.cfg.timeout, payload=payload,
+                            headers={"Authorization": f"Bearer {api_key}"},
+                            attempts=self.cfg.http_attempts, backoff=self.cfg.backoff_base,
+                            limiter=self._limiter, sleep=time.sleep)
+        return body["choices"][0]["message"]["content"]
 
 
 def make_backend(cfg: BackendConfig):

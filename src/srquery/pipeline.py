@@ -43,6 +43,7 @@ from .gateway import (
     BackendConfig,
     GatewayError,
     EmptySeedStudyError,
+    HttpError,
     generate_with_retry,
     make_backend,
     run_guided_session,
@@ -166,9 +167,6 @@ class AppConfig:
 # Helpers
 # ---------------------------------------------------------------------------
 
-def _existing_run_ids(cfg: AppConfig) -> set[str]:
-    return {r.run_id for r in read_records(cfg.runlog)}
-
 def _method_label(prompt_id: str, example_mode: str, seed_source: str) -> str:
     if seed_source:
         return f"{prompt_id}-{seed_source}"
@@ -234,7 +232,7 @@ def cmd_ingest(cfg: AppConfig) -> dict:
     corpus = colls.load_corpus(cfg.corpus) if cfg.corpus else None
     vocab = cfg.load_vocab()
 
-    existing = _existing_run_ids(cfg)
+    existing = {r.run_id for r in read_records(cfg.runlog)}
     records = []
     for topic in topics:
         if not topic.original_query:
@@ -275,18 +273,18 @@ def cmd_ingest(cfg: AppConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 _GENERATION_ERRORS = (
-    GatewayError, EmptyPoolError, MissingBindingError, QueryParseError,
+    GatewayError, HttpError, EmptyPoolError, MissingBindingError, QueryParseError,
     MissingSeedQueryError, EmptySeedStudyError, NoSeedStudyError,
 )
 
 
 def _generate(cfg: AppConfig, topics: list[colls.ReviewTopic], stage: str, prompt_id: str,
-              example_mode: str, seed_source: str, jobs) -> list[RunRecord]:
+              example_mode: str, seed_source: str, jobs, logged) -> list[RunRecord]:
     """The one generation runner.  ``jobs(topic)`` lists the topic's
-    ``(run_id, run_index, make)`` cells; each cell not yet in the run log
-    is recorded as ``make()``'s outcome or, on a per-topic failure, as an
-    error.  Topics run in parallel, their cells in order."""
-    existing = _existing_run_ids(cfg)
+    ``(run_id, run_index, make)`` cells; each cell not among the ``logged``
+    records is recorded as ``make()``'s outcome or, on a per-topic failure,
+    as an error.  Topics run in parallel, their cells in order."""
+    existing = {r.run_id for r in logged}
     backend_label = cfg.backend.describe()
 
     def run_topic(topic: colls.ReviewTopic) -> list[RunRecord]:
@@ -346,7 +344,8 @@ def cmd_formulate(cfg: AppConfig, prompt_id: str, example_mode: str = "none",
         return [(f"gen:{prompt_id}:{example_mode}:-:{topic.topic_id}:r{i}", i, make)
                 for i in range(cfg.runs_per_topic)]
 
-    return _generate(cfg, topics, "formulate", prompt_id, example_mode, "", jobs)
+    return _generate(cfg, topics, "formulate", prompt_id, example_mode, "", jobs,
+                     read_records(cfg.runlog))
 
 
 def _refinement_pool(
@@ -368,14 +367,14 @@ def _refinement_pool(
     return pool
 
 
-def _seed_queries(cfg: AppConfig, seed_source: str,
-                  topics: list[colls.ReviewTopic]) -> dict[str, str]:
+def _seed_queries(cfg: AppConfig, seed_source: str, topics: list[colls.ReviewTopic],
+                  logged: list[RunRecord]) -> dict[str, str]:
     """Map topic_id -> initial query text for the chosen seed source."""
     if seed_source == "original":
         return {t.topic_id: t.original_query for t in topics if t.original_query}
     if seed_source == "q4-runlog":
         queries: dict[str, str] = {}
-        for record in read_records(cfg.runlog):
+        for record in logged:
             if record.stage == "generate" and record.prompt_id == "q4" \
                     and record.status == "ok" and record.query:
                 queries[record.topic_id] = record.query
@@ -409,7 +408,8 @@ def cmd_refine(cfg: AppConfig, prompt_id: str, seed_source: str,
 
     cfg.ensure_dirs()
     topics = cfg.load_topics()
-    seeds = _seed_queries(cfg, seed_source, topics)
+    logged = read_records(cfg.runlog)
+    seeds = _seed_queries(cfg, seed_source, topics, logged)
     # For q7's related examples, a refinement pair is (the example topic's
     # seed query, its expert original query); topics missing either drop out.
     pool = _refinement_pool(topics, seeds) if example_mode == "re" else []
@@ -433,7 +433,7 @@ def cmd_refine(cfg: AppConfig, prompt_id: str, seed_source: str,
         return [(f"gen:{prompt_id}:{example_mode}:{seed_source}:{topic.topic_id}:r{i}", i, make)
                 for i in range(cfg.runs_per_topic)]
 
-    return _generate(cfg, topics, "refine", prompt_id, example_mode, seed_source, jobs)
+    return _generate(cfg, topics, "refine", prompt_id, example_mode, seed_source, jobs, logged)
 
 
 def cmd_guided(cfg: AppConfig, backend=None) -> list[RunRecord]:
@@ -458,7 +458,8 @@ def cmd_guided(cfg: AppConfig, backend=None) -> list[RunRecord]:
             for i in range(cfg.runs_per_topic)
         ]
 
-    return _generate(cfg, topics, "guided", "guided", "none", "", jobs)
+    return _generate(cfg, topics, "guided", "guided", "none", "", jobs,
+                     read_records(cfg.runlog))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +470,9 @@ def cmd_execute(cfg: AppConfig, backend=None) -> list[RunRecord]:
     """Fill retrieved pmid sets for every generated query, through the local
     index or Entrez; results land in the digest-keyed cache."""
     cfg.ensure_dirs()
-    existing = _existing_run_ids(cfg)
-    generations = [r for r in read_records(cfg.runlog)
+    logged = read_records(cfg.runlog)
+    existing = {r.run_id for r in logged}
+    generations = [r for r in logged
                    if r.stage == "generate" and r.status == "ok" and r.query]
 
     index = None
@@ -527,8 +529,9 @@ def cmd_evaluate(cfg: AppConfig) -> list[RunRecord]:
     Topics with no relevant judgments are skipped with a warning."""
     cfg.ensure_dirs()
     qrels = cfg.load_qrels()
-    existing = _existing_run_ids(cfg)
-    executions = [r for r in read_records(cfg.runlog)
+    logged = read_records(cfg.runlog)
+    existing = {r.run_id for r in logged}
+    executions = [r for r in logged
                   if r.stage == "execute" and r.status == "ok"]
 
     records = []

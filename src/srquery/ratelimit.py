@@ -1,11 +1,33 @@
-"""Shared request pacing for the network clients."""
+"""The one HTTP transport of the network clients, and its request pacing.
+
+``request_json`` serves both the chat backend and Entrez esearch on the
+standard library: every attempt takes a ``RateLimiter`` slot, 429 and 5xx
+gateway statuses are retried with exponential backoff, and every failed
+request surfaces as one ``HttpError`` type.
+"""
 
 from __future__ import annotations
 
+import http.client
+import json
 import threading
 import time
+import urllib.error
+import urllib.request
+from typing import Callable, Optional
 
-__all__ = ["RateLimiter"]
+__all__ = ["RateLimiter", "HttpError", "request_json"]
+
+RETRYABLE = frozenset({429, 500, 502, 503, 504})
+
+
+class HttpError(Exception):
+    """A failed request: ``status`` is the last HTTP status, or 0 when the
+    connection failed or timed out."""
+
+    def __init__(self, status: int, detail: str = ""):
+        super().__init__(f"HTTP {status}{': ' + detail if detail else ''}")
+        self.status = status
 
 
 class RateLimiter:
@@ -30,3 +52,34 @@ class RateLimiter:
         if wait > 0:
             time.sleep(wait)
         return slot
+
+
+def request_json(url: str, *, timeout: float, payload=None, headers: Optional[dict] = None,
+                 attempts: int = 3, backoff: float = 0.5, limiter: Optional[RateLimiter] = None,
+                 sleep: Callable[[float], None] = time.sleep):
+    """GET ``url``, or POST ``payload`` as JSON, and return the decoded JSON
+    body.  Retryable statuses get up to ``attempts`` tries, waiting
+    ``backoff * 2**(n-1)`` before try n+1; any other status, a connection
+    failure or a timeout raises ``HttpError`` at once."""
+    request = urllib.request.Request(url, headers=headers or {})
+    if payload is not None:
+        request.data = json.dumps(payload).encode("utf-8")
+        request.add_header("Content-Type", "application/json")
+    status = 0
+    for attempt in range(attempts):
+        if attempt:
+            sleep(backoff * 2 ** (attempt - 1))
+        if limiter is not None:
+            limiter.acquire()
+        try:
+            try:
+                with urllib.request.urlopen(request, timeout=timeout) as resp:
+                    return json.loads(resp.read())
+            except urllib.error.HTTPError as e:
+                with e:
+                    status, detail = e.code, e.read(200).decode("utf-8", "replace")
+        except (OSError, http.client.HTTPException) as e:
+            raise HttpError(0, str(getattr(e, "reason", e))) from e
+        if status not in RETRYABLE:
+            raise HttpError(status, detail)
+    raise HttpError(status, "retries exhausted")

@@ -245,6 +245,7 @@ def test_c10_entrez_client(tmp_path):
         assert len(pmids) == 25_000
     finally:
         server.shutdown()
+        server.server_close()
 
     # Limiter never exceeds the configured rate under 8 concurrent callers.
     rate = 200.0

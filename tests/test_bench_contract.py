@@ -7,6 +7,8 @@ rename that breaks one of these fails here instead of in a benchmark run."""
 import inspect
 import json
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -91,3 +93,45 @@ def test_tracer_sees_every_generation_call_path(tmp_path):
     ok = sum(r.status == "ok" for r in records)
     assert ok > 0
     assert tracer.counts["gateway.generate.ok"] == ok
+
+
+class _OverloadedOnce(BaseHTTPRequestHandler):
+    """A chat endpoint that answers 503 once, then a valid completion."""
+
+    served = 0
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        _OverloadedOnce.served += 1
+        status = 503 if _OverloadedOnce.served == 1 else 200
+        body = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_tracer_counts_chat_backoff(monkeypatch):
+    # The tracer times the chat backoff through the ``time`` name it rebinds
+    # in srquery.gateway; a retry that slept any other way would read as 0.
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    _OverloadedOnce.served = 0
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _OverloadedOnce)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    tracer = Tracer()
+    tracer.install((pl, gw, ez, colls, rt, rl, pr, ratelimit))
+    try:
+        cfg = gw.BackendConfig(kind="http", base_url=f"http://127.0.0.1:{server.server_port}",
+                               backoff_base=0.01)
+        conv = gw.Conversation()
+        conv.append("user", "hello")
+        assert gw.HttpBackend(cfg).complete(conv) == "ok"
+    finally:
+        tracer.uninstall()
+        server.shutdown()
+        server.server_close()
+    assert _OverloadedOnce.served == 2
+    assert tracer.metrics()["gateway.chat.backoff_s"] > 0

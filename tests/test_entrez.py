@@ -21,16 +21,19 @@ from srquery.query_ast import parse, serialize
 
 
 class _EsearchStub(BaseHTTPRequestHandler):
-    # Configured per test: total result count and optional error payload.
+    # Configured per test: total result count, optional error payload, a
+    # status served on every request, and a status served once.
     count = 0
     error = None
     status = 200
+    fail_once = None
     requests_seen = []
 
     def do_GET(self):
         _EsearchStub.requests_seen.append(self.path)
-        if self.status != 200:
-            self.send_response(self.status)
+        status, _EsearchStub.fail_once = self.fail_once or self.status, None
+        if status != 200:
+            self.send_response(status)
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
@@ -65,9 +68,11 @@ def esearch_stub():
     _EsearchStub.count = 0
     _EsearchStub.error = None
     _EsearchStub.status = 200
+    _EsearchStub.fail_once = None
     _EsearchStub.requests_seen = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 QUERY = parse('("heart attack"[tiab] OR infarct*[Title]) AND trial[pt]')
@@ -179,6 +184,15 @@ def test_http_error_surfaces(esearch_stub):
     with pytest.raises(HttpError) as exc:
         entrez_search(QUERY, cfg_for(esearch_stub), limiter=RateLimiter(10_000))
     assert exc.value.status == 500
+
+
+@pytest.mark.parametrize("status", [503, 429])
+def test_one_shot_gateway_status_is_retried(esearch_stub, status):
+    _EsearchStub.count = 25
+    _EsearchStub.fail_once = status
+    pmids = entrez_search(QUERY, cfg_for(esearch_stub), limiter=RateLimiter(10_000))
+    assert pmids == {str(i) for i in range(25)}
+    assert len(_EsearchStub.requests_seen) == 2  # the one page, asked twice
 
 
 def test_rate_limit_invariants(monkeypatch):

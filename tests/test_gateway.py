@@ -76,6 +76,53 @@ def test_mock_same_conversation_same_response():
     assert backend.complete(fresh()) == backend.complete(fresh()) == "stable"
 
 
+class _CheckedThenPopped(list):
+    """A script whose ``pop`` waits until a second caller has checked it
+    for emptiness, which forces the check-then-pop interleaving of two
+    threads without a lock (and times out harmlessly with one)."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.checks = 0
+        self.second_check = threading.Event()
+
+    def __len__(self):
+        self.checks += 1
+        if self.checks == 2:
+            self.second_check.set()
+        return super().__len__()
+
+    def pop(self, index=-1):
+        self.second_check.wait(0.5)
+        return super().pop(index)
+
+
+def test_mock_last_scripted_answer_goes_to_one_thread():
+    def conv():
+        c = Conversation()
+        c.append("user", "prompt")
+        return c
+
+    backend = MockBackend(fixtures={conversation_digest(conv()): "fixture"})
+    backend.script = _CheckedThenPopped(["scripted"])
+    answers, errors = [], []
+
+    def call():
+        try:
+            answers.append(backend.complete(conv()))
+        except Exception as e:  # an IndexError here would abort a stage
+            errors.append(e)
+
+    threads = [threading.Thread(target=call) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+        assert not t.is_alive()
+    assert errors == []
+    assert sorted(answers) == ["fixture", "scripted"]
+
+
 def test_mock_missing_fixture():
     conv = Conversation()
     conv.append("user", "anything")
@@ -120,6 +167,7 @@ def chat_stub():
     _ChatStub.seen = []
     yield f"http://127.0.0.1:{server.server_port}/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def _ok_body(text):

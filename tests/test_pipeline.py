@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -310,6 +315,64 @@ def test_execute_entrez_backed_by_stub(tmp_path):
         assert len(list((tmp_path / "cache").glob("*.json"))) == 3
     finally:
         server.shutdown()
+        server.server_close()
+
+
+class _StallingHandler(BaseHTTPRequestHandler):
+    """Accepts every request and answers none until the test ends."""
+
+    release = threading.Event()
+
+    def _stall(self):
+        self.release.wait(10)
+
+    do_GET = do_POST = _stall
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def stalling_server():
+    _StallingHandler.release = threading.Event()
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _StallingHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_port}"
+    _StallingHandler.release.set()
+    server.shutdown()
+    server.server_close()
+
+
+def test_formulate_records_chat_timeouts_per_topic(tmp_path, stalling_server, monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    cfg = make_config(tmp_path)
+    cfg.backend = BackendConfig(kind="http", base_url=stalling_server + "/chat/completions",
+                                timeout=0.2, backoff_base=0.0)
+    records = cmd_formulate(cfg, "q1")
+    assert sorted(r.topic_id for r in records) == ["CD900001", "CD900002", "CD900003"]
+    assert all(r.status == "error" and "timed out" in r.error for r in records)
+
+
+def test_execute_records_esearch_timeouts(tmp_path, stalling_server):
+    from srquery.entrez import EntrezConfig
+
+    cfg = make_config(tmp_path)
+    cfg.execution_backend = "entrez"
+    cfg.entrez = EntrezConfig(base_url=stalling_server, rate_limit=3.0, timeout=0.2)
+    cmd_ingest(cfg)
+    records = cmd_execute(cfg)
+    assert len(records) == 3
+    assert all(r.status == "error" and "timed out" in r.error for r in records)
+
+
+def test_import_pulls_in_no_http_library():
+    code = ("import sys, srquery.pipeline, srquery.cli; "
+            "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_evaluate_attaches_metrics(tmp_path):
