@@ -4,6 +4,12 @@ The paired t-test computes its two-tailed p-value from the t distribution
 via the regularized incomplete beta function, evaluated with a modified
 Lentz continued fraction to an absolute tolerance of 1e-10.  The test suite
 checks it against an independent reference implementation.
+
+The variability summary's mean, variance and quartiles go unrounded into
+``analysis_report.json``.  ``_pairwise_sum`` and ``_percentile`` copy the
+rounding of numpy's pairwise summation and linear percentile step for step,
+so the reports stay byte-identical to those numpy wrote without depending
+on it; the test suite pins them to numpy with exact equality.
 """
 
 from __future__ import annotations
@@ -13,8 +19,6 @@ import statistics
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .collections import MeshVocab, Qrels
 from .metrics import Metrics
@@ -283,6 +287,40 @@ def unjudged_fraction(retrieved: set[str], qrels: Qrels, topic_id: str) -> float
 # Multi-run variability
 # ---------------------------------------------------------------------------
 
+def _pairwise_sum(xs: Sequence[float]) -> float:
+    # numpy's float64 add.reduce: a plain loop below 8 items, 8 interleaved
+    # accumulators up to 128, halves (cut at a multiple of 8) above that.
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n <= 128:
+        r = list(xs[:8])
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                r[j] += xs[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in xs[tail:]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+
+
+def _percentile(sorted_xs: Sequence[float], q: float) -> float:
+    # numpy's "linear" method, including _lerp's switch to the upper end
+    # at t >= 0.5.
+    v = (len(sorted_xs) - 1) * (q / 100)
+    i = int(v)
+    t = v - i
+    a, b = sorted_xs[i], sorted_xs[min(i + 1, len(sorted_xs) - 1)]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 @dataclass(frozen=True)
 class VariabilitySummary:
     metric: str
@@ -318,17 +356,18 @@ def variability_summary(series_list: Iterable[RunSeries], metric: str) -> Variab
         per_topic[series.topic_id] = values
 
     per_run_macro = [
-        float(np.mean([per_topic[tid][idx] for tid in per_topic])) for idx in run_indices
+        _pairwise_sum([values[idx] for values in per_topic.values()]) / len(per_topic)
+        for idx in run_indices
     ]
-    mean = float(np.mean(per_run_macro))
-    variance = float(np.var(per_run_macro, ddof=1))
+    n = len(per_run_macro)
+    mean = _pairwise_sum(per_run_macro) / n
+    variance = _pairwise_sum([(x - mean) * (x - mean) for x in per_run_macro]) / (n - 1)
     ratio = variance / mean if mean != 0 else 0.0
 
     quartiles = {}
     for tid, values in per_topic.items():
-        data = [values[idx] for idx in run_indices]
-        lo, q1, med, q3, hi = np.percentile(data, [0, 25, 50, 75, 100])
-        quartiles[tid] = (float(lo), float(q1), float(med), float(q3), float(hi))
+        data = sorted(values.values())
+        quartiles[tid] = tuple(_percentile(data, q) for q in (0, 25, 50, 75, 100))
 
     return VariabilitySummary(
         metric=metric,

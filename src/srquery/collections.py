@@ -133,9 +133,6 @@ class Qrels:
     def judged_for(self, topic_id: str) -> set[str]:
         return {pmid for (tid, pmid) in self.judgments if tid == topic_id}
 
-    def topic_ids(self) -> set[str]:
-        return {tid for (tid, _) in self.judgments}
-
 
 @dataclass(frozen=True)
 class CorpusDoc:

@@ -37,7 +37,6 @@ from .analysis import (
     significance_matrix,
     unjudged_fraction,
     variability_summary,
-    TooFewRunsError,
 )
 from .gateway import (
     BackendConfig,
@@ -620,12 +619,16 @@ def cmd_analyze(cfg: AppConfig) -> dict:
         ratio_labels: list[TopicClass] = []
         unjudged: dict[str, float] = {}
         oracle_runs: dict[str, RunRecord] = {}
-        for topic_id, runs in sorted(topics.items()):
-            series = RunSeries(topic_id, tuple(
+        series_list = [
+            RunSeries(topic_id, tuple(
                 RunResult(idx, _metrics_from_record(rec)) for idx, rec in sorted(runs.items())
             ))
+            for topic_id, runs in sorted(topics.items())
+        ]
+        for series in series_list:
+            topic_id = series.topic_id
             oracle = oracle_select(series)
-            oracle_record = runs[oracle.run_index]
+            oracle_record = topics[topic_id][oracle.run_index]
             oracle_runs[topic_id] = oracle_record
             pmids = ez.load_cached_result(cfg.cache_dir, oracle_record.query_digest)
             if pmids:
@@ -668,18 +671,9 @@ def cmd_analyze(cfg: AppConfig) -> dict:
         # Across-run variability (needs >= 2 aligned runs per topic).
         run_sets = {frozenset(runs) for runs in topics.values()}
         if len(run_sets) == 1 and len(next(iter(run_sets))) >= 2:
-            series_list = [
-                RunSeries(topic_id, tuple(
-                    RunResult(idx, _metrics_from_record(rec)) for idx, rec in sorted(runs.items())
-                ))
-                for topic_id, runs in sorted(topics.items())
-            ]
             variability = {}
             for metric in ("precision", "recall", "f1", "f3"):
-                try:
-                    summary = variability_summary(series_list, metric)
-                except TooFewRunsError:
-                    continue
+                summary = variability_summary(series_list, metric)
                 variability[metric] = {
                     "mean": summary.mean,
                     "variance": summary.variance,
@@ -703,7 +697,7 @@ def cmd_analyze(cfg: AppConfig) -> dict:
         scores = {}
         for method, topics in by_method.items():
             scores[method] = [
-                float(sum(_metrics_value(rec, metric) for rec in topics[t].values())
+                float(sum(getattr(_metrics_from_record(rec), metric) for rec in topics[t].values())
                       / len(topics[t]))
                 for t in sorted(common_topics)
             ]
@@ -735,10 +729,6 @@ def cmd_analyze(cfg: AppConfig) -> dict:
     if problems:
         log.warning("run log integrity problems: %s", problems)
     return report
-
-
-def _metrics_value(record: RunRecord, metric: str) -> float:
-    return float((record.metrics or {}).get(metric, 0.0))
 
 
 def cmd_report(cfg: AppConfig) -> Path:

@@ -2,7 +2,8 @@
 
 ``request_json`` serves both the chat backend and Entrez esearch on the
 standard library: every attempt takes a ``RateLimiter`` slot, 429 and 5xx
-gateway statuses are retried with exponential backoff, and every failed
+gateway statuses are retried with exponential backoff, or after the wait a
+delay-seconds ``Retry-After`` asks for (RFC 9110 §10.2.3), and every failed
 request surfaces as one ``HttpError`` type.
 """
 
@@ -59,16 +60,18 @@ def request_json(url: str, *, timeout: float, payload=None, headers: Optional[di
                  sleep: Callable[[float], None] = time.sleep):
     """GET ``url``, or POST ``payload`` as JSON, and return the decoded JSON
     body.  Retryable statuses get up to ``attempts`` tries, waiting
-    ``backoff * 2**(n-1)`` before try n+1; any other status, a connection
-    failure or a timeout raises ``HttpError`` at once."""
+    ``backoff * 2**(n-1)`` before try n+1, or the response's delay-seconds
+    ``Retry-After`` (an HTTP-date or a malformed value falls back to the
+    backoff).  A ``Retry-After`` longer than ``timeout``, any other status,
+    a connection failure or a timeout raises ``HttpError`` at once."""
     request = urllib.request.Request(url, headers=headers or {})
     if payload is not None:
         request.data = json.dumps(payload).encode("utf-8")
         request.add_header("Content-Type", "application/json")
-    status = 0
+    status, retry_after = 0, None
     for attempt in range(attempts):
         if attempt:
-            sleep(backoff * 2 ** (attempt - 1))
+            sleep(backoff * 2 ** (attempt - 1) if retry_after is None else retry_after)
         if limiter is not None:
             limiter.acquire()
         try:
@@ -78,8 +81,12 @@ def request_json(url: str, *, timeout: float, payload=None, headers: Optional[di
             except urllib.error.HTTPError as e:
                 with e:
                     status, detail = e.code, e.read(200).decode("utf-8", "replace")
+                    hint = (e.headers.get("Retry-After") or "").strip()
+                    retry_after = int(hint) if hint.isascii() and hint.isdigit() else None
         except (OSError, http.client.HTTPException) as e:
             raise HttpError(0, str(getattr(e, "reason", e))) from e
         if status not in RETRYABLE:
             raise HttpError(status, detail)
+        if retry_after is not None and retry_after > timeout:
+            raise HttpError(status, f"Retry-After {retry_after} s exceeds the timeout")
     raise HttpError(status, "retries exhausted")

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from srquery.analysis import (
@@ -322,6 +325,27 @@ def test_variability_quartiles_shape():
     assert med == pytest.approx(0.3)
     assert hi == pytest.approx(0.5)
     assert lo <= q1 <= med <= q3 <= hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(2, 12), st.integers(0, 2**32 - 1))
+def test_variability_floats_equal_numpy(n_topics, n_runs, seed):
+    # analysis_report.json holds these floats unrounded, so the port must
+    # round exactly as numpy does: equality, not approx.
+    rng = random.Random(seed)
+    table = [
+        [rng.choice([0.0, 1.0, 1 / 3, rng.random()]) for _ in range(n_runs)]
+        for _ in range(n_topics)
+    ]
+    series = [_series(f"T{t}", row) for t, row in enumerate(table)]
+    summary = variability_summary(series, "recall")
+
+    per_run_macro = [float(np.mean([row[i] for row in table])) for i in range(n_runs)]
+    assert summary.mean == float(np.mean(per_run_macro))
+    assert summary.variance == float(np.var(per_run_macro, ddof=1))
+    for t, row in enumerate(table):
+        expected = tuple(float(x) for x in np.percentile(row, [0, 25, 50, 75, 100]))
+        assert summary.per_topic_quartiles[f"T{t}"] == expected
 
 
 def test_variability_needs_two_runs():

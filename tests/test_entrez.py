@@ -18,15 +18,18 @@ from srquery.entrez import (
     store_result,
 )
 from srquery.query_ast import parse, serialize
+from srquery.ratelimit import request_json
 
 
 class _EsearchStub(BaseHTTPRequestHandler):
     # Configured per test: total result count, optional error payload, a
-    # status served on every request, and a status served once.
+    # status served on every request, a status served once, and the
+    # Retry-After header sent with an error status.
     count = 0
     error = None
     status = 200
     fail_once = None
+    retry_after = None
     requests_seen = []
 
     def do_GET(self):
@@ -34,6 +37,8 @@ class _EsearchStub(BaseHTTPRequestHandler):
         status, _EsearchStub.fail_once = self.fail_once or self.status, None
         if status != 200:
             self.send_response(status)
+            if self.retry_after is not None:
+                self.send_header("Retry-After", self.retry_after)
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
@@ -69,6 +74,7 @@ def esearch_stub():
     _EsearchStub.error = None
     _EsearchStub.status = 200
     _EsearchStub.fail_once = None
+    _EsearchStub.retry_after = None
     _EsearchStub.requests_seen = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
@@ -193,6 +199,34 @@ def test_one_shot_gateway_status_is_retried(esearch_stub, status):
     pmids = entrez_search(QUERY, cfg_for(esearch_stub), limiter=RateLimiter(10_000))
     assert pmids == {str(i) for i in range(25)}
     assert len(_EsearchStub.requests_seen) == 2  # the one page, asked twice
+
+
+@pytest.mark.parametrize("status, retry_after, sleeps", [
+    (429, "0", [0]),
+    (503, "2", [2]),
+    (503, None, [30.0]),
+    (429, "Wed, 21 Oct 2015 07:28:00 GMT", [30.0]),
+    (429, "soon", [30.0]),
+])
+def test_retry_waits_for_retry_after_else_backoff(esearch_stub, status, retry_after, sleeps):
+    _EsearchStub.count = 1
+    _EsearchStub.fail_once = status
+    _EsearchStub.retry_after = retry_after
+    slept = []
+    body = request_json(f"{esearch_stub}?term=x", timeout=5.0, backoff=30.0, sleep=slept.append)
+    assert body["esearchresult"]["idlist"] == ["0"]
+    assert slept == sleeps
+
+
+def test_retry_after_beyond_timeout_fails_at_once(esearch_stub):
+    _EsearchStub.fail_once = 429
+    _EsearchStub.retry_after = "60"
+    slept = []
+    with pytest.raises(HttpError) as exc:
+        request_json(f"{esearch_stub}?term=x", timeout=5.0, backoff=0.0, sleep=slept.append)
+    assert exc.value.status == 429
+    assert slept == []
+    assert len(_EsearchStub.requests_seen) == 1
 
 
 def test_rate_limit_invariants(monkeypatch):

@@ -365,9 +365,9 @@ def test_execute_records_esearch_timeouts(tmp_path, stalling_server):
     assert all(r.status == "error" and "timed out" in r.error for r in records)
 
 
-def test_import_pulls_in_no_http_library():
+def test_import_pulls_in_no_third_party_library():
     code = ("import sys, srquery.pipeline, srquery.cli; "
-            "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+            "print(sorted({'numpy', 'requests', 'urllib3'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
