@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 __all__ = [
@@ -121,17 +122,24 @@ class Qrels:
 
     judgments: dict[tuple[str, str], int]
 
+    @cached_property
+    def _by_topic(self) -> dict[str, dict[str, int]]:
+        """``topic_id -> {pmid: grade}``, built in one pass on the first
+        lookup rather than at construction, so it reads ``judgments`` as it
+        stands when first used."""
+        view: dict[str, dict[str, int]] = {}
+        for (tid, pmid), grade in self.judgments.items():
+            view.setdefault(tid, {})[pmid] = grade
+        return view
+
     def relevant_for(self, topic_id: str, threshold: int = 1) -> set[str]:
         """Pmids judged relevant (grade >= threshold; set-based metrics are
         binary, so the default binarization is grade >= 1)."""
-        return {
-            pmid
-            for (tid, pmid), grade in self.judgments.items()
-            if tid == topic_id and grade >= threshold
-        }
+        grades = self._by_topic.get(topic_id, {})
+        return {pmid for pmid, grade in grades.items() if grade >= threshold}
 
     def judged_for(self, topic_id: str) -> set[str]:
-        return {pmid for (tid, pmid) in self.judgments if tid == topic_id}
+        return set(self._by_topic.get(topic_id, ()))
 
 
 @dataclass(frozen=True)

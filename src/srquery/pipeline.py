@@ -471,16 +471,18 @@ def cmd_execute(cfg: AppConfig, backend=None) -> list[RunRecord]:
     cfg.ensure_dirs()
     logged = read_records(cfg.runlog)
     existing = {r.run_id for r in logged}
-    generations = [r for r in logged
-                   if r.stage == "generate" and r.status == "ok" and r.query]
+    prefix = f"exec:{cfg.execution_backend}:"
+    pending = [r for r in logged
+               if r.stage == "generate" and r.status == "ok" and r.query
+               and prefix + r.run_id not in existing]
 
     index = None
-    vocab = None
     if cfg.execution_backend == "local":
         if not cfg.corpus:
             raise UsageError("local execution requires a corpus path")
-        vocab = cfg.load_vocab()
-        index = build_index(colls.load_corpus(cfg.corpus), vocab)
+        if pending:
+            vocab = cfg.load_vocab()
+            index = build_index(colls.load_corpus(cfg.corpus), vocab)
     entrez_cfg = cfg.entrez
     if cfg.execution_backend == "entrez":
         base = entrez_cfg or ez.EntrezConfig()
@@ -488,10 +490,8 @@ def cmd_execute(cfg: AppConfig, backend=None) -> list[RunRecord]:
     limiter = ez.RateLimiter(entrez_cfg.effective_rate()) if entrez_cfg else None
 
     records = []
-    for gen in generations:
-        run_id = f"exec:{cfg.execution_backend}:{gen.run_id}"
-        if run_id in existing:
-            continue
+    for gen in pending:
+        run_id = prefix + gen.run_id
         try:
             query = parse(gen.query)
             digest = gen.query_digest or ez.query_digest(gen.query)

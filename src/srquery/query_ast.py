@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 __all__ = [
     "FieldKind",
@@ -62,25 +62,6 @@ class FieldKind(Enum):
     OTHER = "Other"
 
 
-# Recognized spellings, lowercased with inner whitespace collapsed.
-_TAG_ALIASES = {
-    "title/abstract": FieldKind.TITLE_ABSTRACT,
-    "tiab": FieldKind.TITLE_ABSTRACT,
-    "all fields": FieldKind.ALL_FIELDS,
-    "all": FieldKind.ALL_FIELDS,
-    "title": FieldKind.TITLE,
-    "ti": FieldKind.TITLE,
-    "mesh": FieldKind.MESH_EXPLODED,
-    "mesh terms": FieldKind.MESH_EXPLODED,
-    "mh": FieldKind.MESH_EXPLODED,
-    "mesh:noexp": FieldKind.MESH_NOEXP,
-    "mesh terms:noexp": FieldKind.MESH_NOEXP,
-    "mh:noexp": FieldKind.MESH_NOEXP,
-    "publication type": FieldKind.PUBLICATION_TYPE,
-    "pt": FieldKind.PUBLICATION_TYPE,
-}
-
-
 @dataclass(frozen=True)
 class FieldTag:
     """A canonicalized field tag; ``raw`` keeps the original text for OTHER."""
@@ -90,11 +71,8 @@ class FieldTag:
 
     @staticmethod
     def from_raw(raw: str) -> "FieldTag":
-        key = re.sub(r"\s+", " ", raw.strip()).lower()
-        kind = _TAG_ALIASES.get(key)
-        if kind is None:
-            return FieldTag(FieldKind.OTHER, raw.strip())
-        return FieldTag(kind)
+        key = " ".join(raw.split()).lower()
+        return _TAG_ALIASES.get(key) or FieldTag(FieldKind.OTHER, raw.strip())
 
     def spelled(self) -> str:
         if self.kind is FieldKind.OTHER:
@@ -106,6 +84,25 @@ ALL_FIELDS = FieldTag(FieldKind.ALL_FIELDS)
 TITLE_ABSTRACT = FieldTag(FieldKind.TITLE_ABSTRACT)
 MESH_EXPLODED = FieldTag(FieldKind.MESH_EXPLODED)
 MESH_NOEXP = FieldTag(FieldKind.MESH_NOEXP)
+
+# Recognized spellings, lowercased with inner whitespace collapsed.  Tags are
+# frozen, so one instance per spelling is shared by every parse.
+_TAG_ALIASES = {
+    "title/abstract": FieldTag(FieldKind.TITLE_ABSTRACT),
+    "tiab": FieldTag(FieldKind.TITLE_ABSTRACT),
+    "all fields": FieldTag(FieldKind.ALL_FIELDS),
+    "all": FieldTag(FieldKind.ALL_FIELDS),
+    "title": FieldTag(FieldKind.TITLE),
+    "ti": FieldTag(FieldKind.TITLE),
+    "mesh": FieldTag(FieldKind.MESH_EXPLODED),
+    "mesh terms": FieldTag(FieldKind.MESH_EXPLODED),
+    "mh": FieldTag(FieldKind.MESH_EXPLODED),
+    "mesh:noexp": FieldTag(FieldKind.MESH_NOEXP),
+    "mesh terms:noexp": FieldTag(FieldKind.MESH_NOEXP),
+    "mh:noexp": FieldTag(FieldKind.MESH_NOEXP),
+    "publication type": FieldTag(FieldKind.PUBLICATION_TYPE),
+    "pt": FieldTag(FieldKind.PUBLICATION_TYPE),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +183,7 @@ _QUOTE_OPEN = {'"', "“"}
 _QUOTE_CLOSE = {'"', "”"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # LPAREN RPAREN WORD PHRASE TAG OP
     value: str
     pos: int

@@ -18,7 +18,7 @@ import json
 import logging
 import os
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -58,7 +58,7 @@ class RunRecord:
     timestamp: str = field(default="", compare=False)
 
     def to_json(self) -> str:
-        obj = {k: v for k, v in asdict(self).items() if v not in (None, "", {})}
+        obj = {k: v for k, v in vars(self).items() if v not in (None, "", {})}
         obj.setdefault("status", self.status)
         return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
@@ -104,7 +104,7 @@ def append_records(path, records: Iterable[RunRecord]) -> int:
     lines = []
     for record in records:
         if not record.timestamp:
-            record = RunRecord(**{**asdict(record), "timestamp": _now()})
+            record = replace(record, timestamp=_now())
         lines.append(record.to_json())
     if not lines:
         return 0
@@ -137,16 +137,23 @@ def read_records(path) -> list[RunRecord]:
 
 def check_integrity(records: Iterable[RunRecord]) -> list[str]:
     """Log-integrity sweep: unique run_ids and every recorded query must
-    re-parse.  Returns a list of problems (empty when clean)."""
+    re-parse.  Returns a list of problems (empty when clean), naming every
+    record that carries a bad query; each distinct text is parsed once."""
     problems = []
     seen: set[str] = set()
+    parse_errors: dict[str, str] = {}  # query text -> "" or its parse error
     for record in records:
         if record.run_id in seen:
             problems.append(f"duplicate run_id {record.run_id}")
         seen.add(record.run_id)
         if record.query:
-            try:
-                parse(record.query)
-            except QueryParseError as e:
-                problems.append(f"{record.run_id}: query does not re-parse: {e}")
+            if record.query not in parse_errors:
+                try:
+                    parse(record.query)
+                    parse_errors[record.query] = ""
+                except QueryParseError as e:
+                    parse_errors[record.query] = str(e)
+            if parse_errors[record.query]:
+                problems.append(f"{record.run_id}: query does not re-parse: "
+                                f"{parse_errors[record.query]}")
     return problems

@@ -42,6 +42,25 @@ def test_tracer_finds_every_entry_point():
     assert not hasattr(pl.build_index, "__wrapped__")
 
 
+def test_qrels_lookups_scan_the_judgments_once():
+    # The tracer swaps in its counting judgments after load_qrels returns;
+    # lookups on one loaded Qrels then scan them once, whatever their number.
+    plain = colls.load_qrels(FIXTURES / "qrels.txt")
+    topics = sorted({tid for tid, _ in plain.judgments} | {"unknown"})
+    tracer = Tracer()
+    tracer.install((pl, gw, ez, colls, rt, rl, pr, ratelimit))
+    try:
+        qrels = colls.load_qrels(FIXTURES / "qrels.txt")
+        for topic_id in topics * 2:
+            qrels.relevant_for(topic_id)
+            qrels.relevant_for(topic_id, 2)
+            qrels.judged_for(topic_id)
+    finally:
+        tracer.uninstall()
+    assert len(topics) > 2
+    assert tracer.counts["collections.judgments_scanned"] == len(plain.judgments)
+
+
 def test_cached_result_file_is_what_the_checks_read(tmp_path):
     ez.store_result(tmp_path, "abc123", ["p3", "p1", "p2"])
     entry = json.loads((tmp_path / "abc123.json").read_text(encoding="utf-8"))

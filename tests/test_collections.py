@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srquery.collections import (
     DuplicateJudgmentError,
@@ -6,6 +8,7 @@ from srquery.collections import (
     MalformedLineError,
     MissingFieldError,
     NegativeGradeError,
+    Qrels,
     load_corpus,
     load_mesh,
     load_qrels,
@@ -115,6 +118,36 @@ def test_load_qrels_malformed(tmp_path):
     path.write_text("CD1 0 10\n")
     with pytest.raises(MalformedLineError):
         load_qrels(path)
+
+
+_topic_ids = st.sampled_from(["CD1", "CD2", "CD3", "cd1", ""])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    judgments=st.dictionaries(st.tuples(_topic_ids, st.sampled_from("0123456789")),
+                              st.integers(0, 3), max_size=30),
+    lookups=st.lists(st.tuples(st.one_of(_topic_ids, st.just("unknown")),
+                               st.integers(-1, 4)), max_size=8),
+)
+def test_qrels_lookups_equal_a_full_scan(judgments, lookups):
+    qrels = Qrels(judgments)
+    for topic_id, threshold in lookups:
+        assert qrels.relevant_for(topic_id, threshold) == {
+            pmid for (tid, pmid), grade in judgments.items()
+            if tid == topic_id and grade >= threshold
+        }
+        assert qrels.relevant_for(topic_id) == {
+            pmid for (tid, pmid), grade in judgments.items() if tid == topic_id and grade >= 1
+        }
+        assert qrels.judged_for(topic_id) == {pmid for (tid, pmid) in judgments if tid == topic_id}
+
+
+def test_qrels_lookups_hand_out_fresh_sets():
+    qrels = Qrels({("CD1", "10"): 1})
+    qrels.relevant_for("CD1").add("99")
+    qrels.judged_for("CD1").add("99")
+    assert qrels.relevant_for("CD1") == qrels.judged_for("CD1") == {"10"}
 
 
 def test_qrels_round_trip(tmp_path, qrels):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from srquery import cli
+from srquery import cli, pipeline
 from srquery.gateway import BackendConfig, Conversation, MockBackend, conversation_digest
 from srquery.pipeline import (
     AppConfig,
@@ -24,6 +24,7 @@ from srquery.pipeline import (
     cmd_report,
 )
 from srquery.prompts import PromptBindings, hqe_example, render
+from srquery.retrieval import build_index
 from srquery.runlog import check_integrity, read_records
 
 FIXTURES = Path(__file__).parent / "fixtures" / "collection"
@@ -287,6 +288,25 @@ def test_execute_local_fills_counts_and_cache(tmp_path):
     assert cache_files
     # Idempotent: nothing new on a second pass.
     assert cmd_execute(cfg) == []
+
+
+def test_execute_builds_no_index_when_nothing_is_pending(tmp_path, monkeypatch):
+    built = []
+
+    def counting_build_index(*args, **kwargs):
+        built.append(1)
+        return build_index(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "build_index", counting_build_index)
+    cfg = make_config(tmp_path)
+    cmd_ingest(cfg)
+    assert len(cmd_execute(cfg)) == 3
+    assert len(built) == 1
+    assert cmd_execute(cfg) == []
+    assert len(built) == 1
+    # The missing corpus is still a usage error, pending work or not.
+    cfg.corpus = None
+    with pytest.raises(UsageError, match="requires a corpus path"):
+        cmd_execute(cfg)
 
 
 def test_execute_entrez_backed_by_stub(tmp_path):

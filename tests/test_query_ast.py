@@ -103,6 +103,42 @@ def test_parse_dangling_operator():
         parse("NOT a")  # NOT is binary
 
 
+# Exact error type, message and position: ingest and execute write str(e)
+# into the run log, so these strings are part of its bytes.
+PARSE_ERRORS = [
+    ("a[tiab", UnbalancedParenError, "unclosed '[' field tag (at position 1)", 1),
+    ("a]", UnbalancedParenError, "']' without matching '[' (at position 1)", 1),
+    ('"a b', UnbalancedQuoteError, "unclosed quote (at position 0)", 0),
+    ("“a b", UnbalancedQuoteError, "unclosed quote (at position 0)", 0),
+    ('""', EmptyQueryError, "empty quoted phrase (at position 0)", 0),
+    ("*", QueryParseError, "bare '*' is not a term (at position 0)", 0),
+    ("”", QueryParseError, "bare '*' is not a term (at position 0)", 0),
+    ("a”b", QueryParseError, "bare '*' is not a term (at position 1)", 1),
+    ("(a AND b", UnbalancedParenError, "unclosed '(' (at position 0)", 0),
+    ("a AND b)", UnbalancedParenError, "unexpected trailing input (at position 7)", 7),
+    ("a AND", QueryParseError, "expected a term (at position 5)", 5),
+    ("a[tiab] b[tiab]", AdjacentTermsError,
+     "terms must be joined by AND/OR/NOT (at position 8)", 8),
+    ('"a" b', AdjacentTermsError, "terms must be joined by AND/OR/NOT (at position 4)", 4),
+]
+
+
+@pytest.mark.parametrize("text,error,message,pos", PARSE_ERRORS)
+def test_parse_error_type_message_and_position(text, error, message, pos):
+    with pytest.raises(QueryParseError) as exc:
+        parse(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    assert exc.value.pos == pos
+
+
+def test_parse_tab_splits_a_word_but_vertical_tab_does_not():
+    # A tab is a word break; \x0b is whitespace only between words.
+    assert parse("a\tb[tiab]").root == Term("a b", FieldTag(FieldKind.TITLE_ABSTRACT))
+    assert parse("a\x0bb").root == Term("a\x0bb")
+    assert parse("\x0ba").root == Term("a")
+
+
 def test_parse_multiword_sequence_is_one_phrase():
     q = parse("differentiated thyroid cancer[MeSH]")
     assert q.root == Term("differentiated thyroid cancer", FieldTag(FieldKind.MESH_EXPLODED))
@@ -140,6 +176,12 @@ def test_field_tag_spellings_canonicalize():
         ("pt", FieldKind.PUBLICATION_TYPE),
     ]:
         assert FieldTag.from_raw(raw).kind is kind, raw
+
+
+def test_field_tag_spacing_and_case_variants():
+    assert FieldTag.from_raw(" MeSH\t Terms:NoExp ") == FieldTag(FieldKind.MESH_NOEXP)
+    assert FieldTag.from_raw("TIAB") == FieldTag(FieldKind.TITLE_ABSTRACT)
+    assert FieldTag.from_raw(" Foo  Bar ") == FieldTag(FieldKind.OTHER, "Foo  Bar")
 
 
 def test_unknown_tag_becomes_other():

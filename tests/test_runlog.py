@@ -1,8 +1,16 @@
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from srquery.runlog import RunLogError, RunRecord, append_records, read_records
+from srquery.runlog import (
+    RunLogError,
+    RunRecord,
+    append_records,
+    check_integrity,
+    read_records,
+)
 
 
 def record(run_id: str, query: str = "thyroid[tiab]") -> RunRecord:
@@ -57,3 +65,72 @@ def test_bad_line_before_the_end_stays_a_hard_error(tmp_path, bad):
     append_records(path, [record("r3")])
     with pytest.raises(RunLogError, match=":2:"):
         read_records(path)
+
+
+def test_check_integrity_reports_every_problem_in_record_order():
+    # One bad text carried by two records is reported for both of them.
+    records = [record("a"), record("b", query="(a AND b"), record("a", query=""),
+               record("c", query="(a AND b"), record("b")]
+    assert check_integrity(records) == [
+        "b: query does not re-parse: unclosed '(' (at position 0)",
+        "duplicate run_id a",
+        "c: query does not re-parse: unclosed '(' (at position 0)",
+        "duplicate run_id b",
+    ]
+
+
+def test_to_json_golden_bytes():
+    # Empty strings, None and a top-level {} are dropped; 0, nested {} and
+    # non-ASCII text are written as they are; keys are sorted.
+    evaluated = RunRecord(
+        run_id="eval:exec:local:g1", stage="evaluate", topic_id="CD1", prompt_id="q4",
+        example_mode="hqe", query="café[tiab]", retrieved_count=0,
+        metrics={"recall": 1.0, "precision": 0.25, "hit_count": 0, "extra": {}},
+        timestamp="2024-01-01T00:00:00+00:00",
+    )
+    assert evaluated.to_json() == (
+        '{"attempt": 1, "example_mode": "hqe", "metrics": {"extra": {}, "hit_count": 0, '
+        '"precision": 0.25, "recall": 1.0}, "prompt_id": "q4", "query": "café[tiab]", '
+        '"retrieved_count": 0, "run_id": "eval:exec:local:g1", "run_index": 0, '
+        '"stage": "evaluate", "status": "ok", "timestamp": "2024-01-01T00:00:00+00:00", '
+        '"topic_id": "CD1"}'
+    )
+    bare = RunRecord(run_id="g2", stage="generate", topic_id="CD1", prompt_id="q1",
+                     metrics={}, status="")
+    assert bare.to_json() == (
+        '{"attempt": 1, "example_mode": "none", "prompt_id": "q1", "run_id": "g2", '
+        '"run_index": 0, "stage": "generate", "status": "", "topic_id": "CD1"}'
+    )
+
+
+def test_append_stamps_a_timestamp_and_keeps_the_rest(tmp_path):
+    path = tmp_path / "runlog.jsonl"
+    plain = RunRecord(run_id="r1", stage="generate", topic_id="T1", prompt_id="q1")
+    append_records(path, [plain])
+    (stored,) = read_records(path)
+    assert stored == plain and stored.timestamp
+    assert plain.timestamp == ""
+
+
+_text = st.text(max_size=12)
+_required = st.text(min_size=1, max_size=12)
+_metric_values = st.one_of(st.integers(-10**6, 10**6),
+                           st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(
+    RunRecord,
+    # Values that to_json drops must equal the field default to come back.
+    run_id=_required, stage=_required, topic_id=_required, prompt_id=_required,
+    example_mode=st.sampled_from(["none", "hqe", "re"]),
+    seed_source=_text, run_index=st.integers(0, 50), attempt=st.integers(0, 9),
+    backend=_text, raw_response_digest=_text, query=_text, query_digest=_text,
+    retrieved_count=st.one_of(st.none(), st.integers(0, 10**6)),
+    metrics=st.one_of(st.none(), st.dictionaries(_text, _metric_values, min_size=1)),
+    parent_run_id=_text, status=_text, error=_text, timestamp=_text,
+))
+def test_json_round_trip(rec):
+    back = RunRecord.from_json(rec.to_json())
+    assert back == rec
+    assert back.timestamp == rec.timestamp
