@@ -205,15 +205,18 @@ def _example_pool(topics: list[colls.ReviewTopic]) -> list[ExampleReview]:
     return pool
 
 
-def _resolve_example(
-    topic: colls.ReviewTopic, example_mode: str, pool: list[ExampleReview]
-) -> Optional[ExampleReview]:
+def _example_resolver(
+    example_mode: str, pool: list[ExampleReview]
+) -> Callable[[colls.ReviewTopic], Optional[ExampleReview]]:
+    """The example shown in each topic's prompt.  The bundled hqe example
+    is loaded here, once per stage call, not once per cell."""
     if example_mode == "none":
-        return None
+        return lambda topic: None
     if example_mode == "hqe":
-        return hqe_example()
+        example = hqe_example()
+        return lambda topic: example
     if example_mode == "re":
-        return select_related_example(topic, pool, dice_score)
+        return lambda topic: select_related_example(topic, pool, dice_score)
     raise UsageError(f"unknown example mode {example_mode!r}")
 
 
@@ -328,12 +331,13 @@ def cmd_formulate(cfg: AppConfig, prompt_id: str, example_mode: str = "none",
 
     cfg.ensure_dirs()
     topics = cfg.load_topics()
-    pool = _example_pool(topics) if example_mode == "re" else []
+    example_for = _example_resolver(
+        example_mode, _example_pool(topics) if example_mode == "re" else [])
     backend = backend if backend is not None else make_backend(cfg.backend)
 
     def jobs(topic: colls.ReviewTopic):
         def make():
-            example = _resolve_example(topic, example_mode, pool)
+            example = example_for(topic)
             prompt = render(prompt_id, PromptBindings(
                 review_title=topic.title,
                 example_review_title=example.title if example else None,
@@ -411,7 +415,8 @@ def cmd_refine(cfg: AppConfig, prompt_id: str, seed_source: str,
     seeds = _seed_queries(cfg, seed_source, topics, logged)
     # For q7's related examples, a refinement pair is (the example topic's
     # seed query, its expert original query); topics missing either drop out.
-    pool = _refinement_pool(topics, seeds) if example_mode == "re" else []
+    example_for = _example_resolver(
+        example_mode, _refinement_pool(topics, seeds) if example_mode == "re" else [])
     backend = backend if backend is not None else make_backend(cfg.backend)
 
     def jobs(topic: colls.ReviewTopic):
@@ -420,7 +425,7 @@ def cmd_refine(cfg: AppConfig, prompt_id: str, seed_source: str,
                 raise MissingSeedQueryError(
                     f"no {seed_source} seed query for topic {topic.topic_id}"
                 )
-            example = _resolve_example(topic, example_mode, pool)
+            example = example_for(topic)
             prompt = render(prompt_id, PromptBindings(
                 review_title=topic.title,
                 initial_query=seeds[topic.topic_id],
@@ -476,13 +481,23 @@ def cmd_execute(cfg: AppConfig, backend=None) -> list[RunRecord]:
                if r.stage == "generate" and r.status == "ok" and r.query
                and prefix + r.run_id not in existing]
 
+    def parsed(text: str):
+        try:
+            return parse(text)
+        except Exception as e:  # recorded against its record below
+            return e
+    # Each pending query is parsed once, before the build, because the
+    # index holds only the postings the queries that parsed can read.
+    queries = [parsed(gen.query) for gen in pending]
+
     index = None
     if cfg.execution_backend == "local":
         if not cfg.corpus:
             raise UsageError("local execution requires a corpus path")
-        if pending:
-            vocab = cfg.load_vocab()
-            index = build_index(colls.load_corpus(cfg.corpus), vocab)
+        ok = [q for q in queries if not isinstance(q, Exception)]
+        if ok:
+            index = build_index(colls.load_corpus(cfg.corpus), cfg.load_vocab(),
+                                queries=ok)
     entrez_cfg = cfg.entrez
     if cfg.execution_backend == "entrez":
         base = entrez_cfg or ez.EntrezConfig()
@@ -490,10 +505,11 @@ def cmd_execute(cfg: AppConfig, backend=None) -> list[RunRecord]:
     limiter = ez.RateLimiter(entrez_cfg.effective_rate()) if entrez_cfg else None
 
     records = []
-    for gen in pending:
+    for gen, query in zip(pending, queries):
         run_id = prefix + gen.run_id
         try:
-            query = parse(gen.query)
+            if isinstance(query, Exception):
+                raise query
             digest = gen.query_digest or ez.query_digest(gen.query)
             cached = ez.load_cached_result(cfg.cache_dir, digest)
             if cached is not None:

@@ -215,6 +215,8 @@ def _lex(text: str) -> list[_Token]:
             continue
         if ch == "]":
             raise UnbalancedParenError("']' without matching '['", i)
+        if ch == "”":
+            raise UnbalancedQuoteError("'”' without matching '“'", i)
         if ch in _QUOTE_OPEN:
             j = i + 1
             while j < n and text[j] not in _QUOTE_CLOSE:

@@ -31,6 +31,11 @@ helpers) answers every term without scanning its vocabulary:
   (see ``_spaced``): the stored title or abstract, or each canonical MeSH
   name in turn.  The index keeps no per-document token arrays.
 
+``build_index(corpus, vocab)`` posts every token.  Given ``queries``, the
+title, abstract and MeSH token postings keep only the tokens those queries
+read (``_query_tokens``), and the index answers those queries and no
+others: a term it was not built for may miss documents.
+
 The oracle (:func:`execute_naive`, ``_doc_term_match``, ``_phrase_at``,
 ``_exploded_names`` and :func:`explode_mesh`) re-tokenizes every document
 for every term and scans windows and descriptors one by one.  It shares no
@@ -41,11 +46,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .collections import Corpus, CorpusDoc, MeshVocab
 from .query_ast import (
@@ -54,6 +58,7 @@ from .query_ast import (
     Op,
     Query,
     Term,
+    iter_terms,
     validate,
 )
 
@@ -77,11 +82,22 @@ class UnknownDescriptorError(KeyError):
     pass
 
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+class _Separators(dict):
+    """A ``str.translate`` table that keeps ``[a-z0-9]`` and turns every
+    other character into a space."""
+
+    def __missing__(self, char: int) -> str:
+        return " "
+
+
+# Filled for all of ASCII, so that ASCII text stays on translate's fast path.
+_SEPARATORS = _Separators({c: " " for c in range(128)})
+_SEPARATORS.update({ord(c): c for c in "abcdefghijklmnopqrstuvwxyz0123456789"})
 
 
 def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+    """The maximal runs of ``[a-z0-9]`` in the lowercased text."""
+    return text.lower().translate(_SEPARATORS).split()
 
 
 # ---------------------------------------------------------------------------
@@ -125,41 +141,86 @@ def _spaced(tokens: list[str]) -> str:
     return " " + " ".join(tokens) + " "
 
 
-def build_index(corpus: Corpus, vocab: Optional[MeshVocab] = None) -> Index:
-    findall = _TOKEN_RE.findall
+def _canonical_mesh(tag: str, vocab: Optional[MeshVocab]) -> tuple[str, str, frozenset[str]]:
+    """A raw MeSH tag's lowercased canonical name, its spaced form and its
+    tokens."""
+    descriptor = vocab.lookup(tag) if vocab is not None else None
+    name = (descriptor.name if descriptor is not None else tag).lower()
+    tokens = tokenize(name)
+    return name, _spaced(tokens), frozenset(tokens)
+
+
+_TEXT_KINDS = (FieldKind.TITLE, FieldKind.TITLE_ABSTRACT, FieldKind.ALL_FIELDS, FieldKind.OTHER)
+
+
+def _query_tokens(
+    queries: Iterable[Query],
+    corpus: Corpus,
+    canonical: dict[str, tuple[str, str, frozenset[str]]],
+) -> set[str]:
+    """The title, abstract and MeSH tokens whose postings the queries read
+    (see ``_index_field_match``): the exactly matched tokens of every
+    text-field term, and every corpus token under the prefix of a one-token
+    ``*`` term.  The corpus vocabulary lives only in here, so it is garbage
+    before the index stores any text or posting."""
+    needed: set[str] = set()
+    prefixes: set[str] = set()
+    for q in queries:
+        for term in iter_terms(q.root):
+            if term.field.kind not in _TEXT_KINDS:
+                continue
+            tokens = tokenize(term.text)
+            if term.truncated and len(tokens) == 1:
+                prefixes.add(tokens[0])
+            else:
+                needed.update(tokens[:-1] if term.truncated else tokens)
+    if prefixes:
+        vocabulary: set[str] = set()
+        for doc in corpus.docs.values():
+            vocabulary.update(tokenize(doc.title), tokenize(doc.abstract))
+        vocabulary.update(*(tokens for _, _, tokens in canonical.values()))
+        ordered = tuple(sorted(vocabulary))
+        for prefix in prefixes:
+            needed.update(_prefix_range(ordered, prefix))
+    return needed
+
+
+def build_index(
+    corpus: Corpus, vocab: Optional[MeshVocab] = None, queries: Optional[Iterable[Query]] = None
+) -> Index:
+    """Index the corpus.  Without ``queries`` every token is posted.  With
+    them, the title, abstract and MeSH token postings keep only the tokens
+    those queries read, and the index answers those queries and no others;
+    descriptor and publication-type postings, texts and MeSH names are
+    always whole."""
+    # Raw MeSH tag -> (lowercased canonical name, its spaced form, its tokens).
+    canonical = {tag: _canonical_mesh(tag, vocab)
+                 for tag in {tag for doc in corpus.docs.values() for tag in doc.mesh_terms}}
+    keep = None if queries is None else _query_tokens(queries, corpus, canonical)
+
+    def kept(tokens) -> set[str]:
+        return set(tokens) if keep is None else keep.intersection(tokens)
+
     postings = {field: defaultdict(list) for field in ("title", "abstract", "mesh")}
     texts: dict[str, dict[str, str]] = {"title": {}, "abstract": {}}
     mesh_names: dict[str, tuple[str, ...]] = {}
     descriptor_map: defaultdict[str, list[str]] = defaultdict(list)
     pub_types: defaultdict[str, list[str]] = defaultdict(list)
-    # Raw MeSH tag -> (lowercased canonical name, its spaced form, its tokens).
-    canonical: dict[str, tuple[str, str, frozenset[str]]] = {}
 
     for field in ("title", "abstract"):
         field_postings, field_texts = postings[field], texts[field]
         for pmid, doc in corpus.docs.items():
-            tokens = findall(getattr(doc, field).lower())
+            tokens = tokenize(getattr(doc, field))
             field_texts[pmid] = _spaced(tokens)
-            for tok in set(tokens):
+            for tok in kept(tokens):
                 field_postings[tok].append(pmid)
     mesh_postings = postings["mesh"]
     for pmid, doc in corpus.docs.items():
-        names, spaced = set(), []
-        mesh_tokens: set[str] = set()
-        for tag in doc.mesh_terms:
-            entry = canonical.get(tag)
-            if entry is None:
-                descriptor = vocab.lookup(tag) if vocab is not None else None
-                name = (descriptor.name if descriptor is not None else tag).lower()
-                tokens = findall(name)
-                entry = canonical[tag] = (name, _spaced(tokens), frozenset(tokens))
-            names.add(entry[0])
-            spaced.append(entry[1])
-            mesh_tokens |= entry[2]
-        mesh_names[pmid] = tuple(spaced)
-        for name in names:
+        entries = [canonical[tag] for tag in doc.mesh_terms]
+        mesh_names[pmid] = tuple(spaced for _, spaced, _ in entries)
+        for name in {name for name, _, _ in entries}:
             descriptor_map[name].append(pmid)
-        for tok in mesh_tokens:
+        for tok in kept(frozenset().union(*(tokens for _, _, tokens in entries))):
             mesh_postings[tok].append(pmid)
         for pub_type in {p.lower().strip() for p in doc.pub_types}:
             pub_types[pub_type].append(pmid)

@@ -154,3 +154,21 @@ def test_tracer_counts_chat_backoff(monkeypatch):
         server.server_close()
     assert _OverloadedOnce.served == 2
     assert tracer.metrics()["gateway.chat.backoff_s"] > 0
+
+
+def test_two_argument_build_index_posts_every_token():
+    # child.py builds the probe index as build_index(corpus, vocab), and
+    # the probes time lookups of tokens no pipeline query named.
+    corpus = colls.load_corpus(FIXTURES / "corpus.jsonl")
+    vocab = colls.load_mesh(FIXTURES / "mesh.tsv")
+    index = rt.build_index(corpus, vocab)
+
+    def canonical(tag):
+        descriptor = vocab.lookup(tag)
+        return descriptor.name if descriptor is not None else tag
+    for field, texts in (
+        ("title", [doc.title for doc in corpus.docs.values()]),
+        ("abstract", [doc.abstract for doc in corpus.docs.values()]),
+        ("mesh", [canonical(tag) for doc in corpus.docs.values() for tag in doc.mesh_terms]),
+    ):
+        assert set(index.postings[field]) == {tok for text in texts for tok in rt.tokenize(text)}

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from srquery import cli, pipeline
+from srquery import cli, pipeline, prompts
 from srquery.gateway import BackendConfig, Conversation, MockBackend, conversation_digest
 from srquery.pipeline import (
     AppConfig,
@@ -23,9 +23,10 @@ from srquery.pipeline import (
     cmd_refine,
     cmd_report,
 )
-from srquery.prompts import PromptBindings, hqe_example, render
+from srquery.prompts import MissingFixtureError, PromptBindings, hqe_example, render
+from srquery.query_ast import parse
 from srquery.retrieval import build_index
-from srquery.runlog import check_integrity, read_records
+from srquery.runlog import RunRecord, append_records, check_integrity, read_records
 
 FIXTURES = Path(__file__).parent / "fixtures" / "collection"
 GUIDED_ANSWERS = json.loads(
@@ -135,6 +136,25 @@ def test_formulate_is_idempotent(tmp_path):
     second = cmd_formulate(cfg, "q4", "hqe")
     assert len(first) == 3 and second == []
     assert len(read_records(cfg.runlog)) == 3
+
+
+def test_formulate_loads_the_hqe_example_once_per_call(tmp_path, monkeypatch):
+    loads = []
+
+    def counting_hqe_example():
+        loads.append(1)
+        return hqe_example()
+    monkeypatch.setattr(pipeline, "hqe_example", counting_hqe_example)
+    cfg = make_config(tmp_path)
+    cfg.runs_per_topic = 2
+    assert [r.status for r in cmd_formulate(cfg, "q4", "hqe")] == ["ok"] * 6
+    assert len(loads) == 1
+
+
+def test_formulate_hqe_without_bundled_file_raises(tmp_path, monkeypatch):
+    monkeypatch.setattr(prompts.resources, "files", lambda package: tmp_path)
+    with pytest.raises(MissingFixtureError, match="hqe_example.json"):
+        cmd_formulate(make_config(tmp_path), "q4", "hqe")
 
 
 def test_formulate_re_mode_uses_pool(tmp_path):
@@ -307,6 +327,33 @@ def test_execute_builds_no_index_when_nothing_is_pending(tmp_path, monkeypatch):
     cfg.corpus = None
     with pytest.raises(UsageError, match="requires a corpus path"):
         cmd_execute(cfg)
+
+
+def test_execute_parses_once_and_builds_over_the_queries_that_parsed(tmp_path, monkeypatch):
+    parsed, built = [], []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse(text)
+
+    def recording_build_index(*args, **kwargs):
+        built.append(kwargs["queries"])
+        return build_index(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "parse", counting_parse)
+    monkeypatch.setattr(pipeline, "build_index", recording_build_index)
+    cfg = make_config(tmp_path)
+    cmd_ingest(cfg)
+    append_records(cfg.runlog, [RunRecord(
+        run_id="gen:q1:none:-:CD900001:r0", stage="generate", topic_id="CD900001",
+        prompt_id="q1", query="a”b",
+    )])
+    pending = [r.query for r in read_records(cfg.runlog)]
+    parsed.clear()
+    records = cmd_execute(cfg)
+    assert parsed == pending
+    assert built == [[parse(text) for text in pending[:-1]]]
+    assert [r.status for r in records] == ["ok"] * (len(pending) - 1) + ["error"]
+    assert records[-1].error == "'”' without matching '“' (at position 1)"
 
 
 def test_execute_entrez_backed_by_stub(tmp_path):

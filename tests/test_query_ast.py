@@ -112,8 +112,8 @@ PARSE_ERRORS = [
     ("“a b", UnbalancedQuoteError, "unclosed quote (at position 0)", 0),
     ('""', EmptyQueryError, "empty quoted phrase (at position 0)", 0),
     ("*", QueryParseError, "bare '*' is not a term (at position 0)", 0),
-    ("”", QueryParseError, "bare '*' is not a term (at position 0)", 0),
-    ("a”b", QueryParseError, "bare '*' is not a term (at position 1)", 1),
+    ("”", UnbalancedQuoteError, "'”' without matching '“' (at position 0)", 0),
+    ("a”b", UnbalancedQuoteError, "'”' without matching '“' (at position 1)", 1),
     ("(a AND b", UnbalancedParenError, "unclosed '(' (at position 0)", 0),
     ("a AND b)", UnbalancedParenError, "unexpected trailing input (at position 7)", 7),
     ("a AND", QueryParseError, "expected a term (at position 5)", 5),

@@ -1,20 +1,25 @@
 import random
+import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randgen import (
+    HARD_TOKENS,
     fixture_vocab,
     random_corpus,
     random_hard_corpus,
     random_hard_query,
+    random_hard_term,
+    random_query,
     random_retrieval_query,
     random_term,
     random_tree_vocab,
 )
 from srquery.collections import Corpus, CorpusDoc, MeshDescriptor, MeshVocab
-from srquery.query_ast import FieldKind, FieldTag, Op, Operator, Query, Term, parse
+from srquery.query_ast import FieldKind, FieldTag, Op, Operator, Query, Term, iter_terms, parse
 from srquery.retrieval import (
     InvalidQueryError,
     UnknownDescriptorError,
@@ -208,6 +213,74 @@ def test_local_equals_naive_on_hard_random_instances():
             assert execute_local(idx, q) == execute_naive(corpus, q, vocab)
 
 
+def stem_or_hard_term(rng: random.Random, vocab: MeshVocab) -> Term:
+    # The hard generator truncates only phrases; a one-token stem such as
+    # "ab*" reaches the prefix expansion of a query-driven build.  Only the
+    # MeSH tag "Unlisted Ab" holds "unlisted".
+    if rng.random() < 0.25:
+        token = rng.choice(HARD_TOKENS + ["unlisted"])
+        field = rng.choice([FieldTag(FieldKind.TITLE), FieldTag(FieldKind.TITLE_ABSTRACT),
+                            FieldTag(FieldKind.ALL_FIELDS)])
+        return Term(token[: rng.randint(1, len(token))], field, truncated=True)
+    return random_hard_term(rng, vocab)
+
+
+def query_driven_instances(seed: int, hard: int, plain: int):
+    """(corpus, vocab, queries) triples: hard instances with one-token stems
+    mixed in, then plain ones over the fixture vocabulary."""
+    rng = random.Random(seed)
+    for _ in range(hard):
+        vocab = random_tree_vocab(rng)
+        corpus = random_hard_corpus(rng, vocab, max_docs=60)
+        make_term = partial(stem_or_hard_term, vocab=vocab)
+        yield corpus, vocab, [random_query(rng, max_depth=3, max_terms=8, make_term=make_term)
+                              for _ in range(rng.randint(1, 4))]
+    vocab = fixture_vocab()
+    for _ in range(plain):
+        corpus = random_corpus(rng, max_docs=80)
+        yield corpus, vocab, [random_retrieval_query(rng, max_depth=4)
+                              for _ in range(rng.randint(1, 4))]
+
+
+def test_query_driven_index_equals_naive():
+    for corpus, vocab, queries in query_driven_instances(626262, hard=150, plain=100):
+        idx = build_index(corpus, vocab, queries=queries)
+        for q in queries:
+            assert execute_local(idx, q) == execute_naive(corpus, q, vocab)
+
+
+def test_query_driven_index_posts_only_query_tokens():
+    text_kinds = {FieldKind.TITLE, FieldKind.TITLE_ABSTRACT, FieldKind.ALL_FIELDS, FieldKind.OTHER}
+    dropped = 0
+    for corpus, vocab, queries in query_driven_instances(727272, hard=60, plain=40):
+        terms = [t for q in queries for t in iter_terms(q.root) if t.field.kind in text_kinds]
+        exact = {tok for t in terms for tok in tokenize(t.text)}
+        stems = tuple(tokenize(t.text)[-1] for t in terms if t.truncated and tokenize(t.text))
+        full = build_index(corpus, vocab)
+        idx = build_index(corpus, vocab, queries=queries)
+        for field, postings in idx.postings.items():
+            for tok, pmids in postings.items():
+                assert tok in exact or tok.startswith(stems), (field, tok)
+                assert pmids == full.postings[field][tok]
+            dropped += len(full.postings[field]) - len(postings)
+        assert idx.descriptor_map == full.descriptor_map
+        assert idx.pub_type_postings == full.pub_type_postings
+        assert idx.texts == full.texts and idx.mesh_names == full.mesh_names
+    assert dropped > 0
+    idx = build_index(mini_corpus(p1="thyroid cancer screening"), queries=[parse("cancer[tiab]")])
+    assert idx.postings["title"] == {"cancer": ["p1"]}
+    # A stem's expansions come from every field's tokens.
+    corpus = Corpus({
+        "p1": CorpusDoc(pmid="p1", title="elastography report"),
+        "p2": CorpusDoc(pmid="p2", title="", abstract="elastic bands"),
+        "p3": CorpusDoc(pmid="p3", title="", mesh_terms=("Elastin",)),
+    })
+    idx = build_index(corpus, queries=[parse("elast*")])
+    assert execute_local(idx, parse("elast*")) == {"p1", "p2", "p3"}
+    assert {field: list(postings) for field, postings in idx.postings.items()} == {
+        "title": ["elastography"], "abstract": ["elastic"], "mesh": ["elastin"]}
+
+
 # The index verifies a phrase by substring search in spaced texts; the
 # oracle compares token windows.  Texts mix separators, digits, upper case
 # and characters whose lowercase form changes length or leaves [a-z0-9]
@@ -316,3 +389,22 @@ def test_noexp_subset_of_exploded():
 
 def test_tokenizer_keeps_digits_no_stemming():
     assert tokenize("COVID-19 vaccines; 2nd dose!") == ["covid", "19", "vaccines", "2nd", "dose"]
+
+
+def regex_tokens(text: str) -> list[str]:
+    # The tokenizer's definition: maximal runs of [a-z0-9] after lower().
+    return re.findall(r"[a-z0-9]+", text.lower())
+
+
+def test_tokenizer_equals_its_definition_on_every_code_point():
+    # One character between two letters, for every code point but the
+    # surrogates; lower() may turn one character into two (İ -> i + U+0307).
+    text = " ".join(f"x{chr(c)}y" for c in range(0x110000) if not 0xD800 <= c < 0xE000)
+    assert tokenize(text) == regex_tokens(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.one_of(st.sampled_from("aZ09 -_.\t\n\x0bİKßΣé"),
+                                  st.characters())))
+def test_tokenizer_equals_its_definition(text):
+    assert tokenize(text) == regex_tokens(text)
