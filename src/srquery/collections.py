@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 __all__ = [
     "CollectionTag",
@@ -41,6 +41,7 @@ __all__ = [
     "write_topics",
     "load_qrels",
     "write_qrels",
+    "iter_corpus",
     "load_corpus",
     "write_corpus",
     "load_mesh",
@@ -305,8 +306,10 @@ def write_qrels(qrels: Qrels, path) -> None:
 # Corpus and MeSH
 # ---------------------------------------------------------------------------
 
-def load_corpus(path) -> Corpus:
-    docs: dict[str, CorpusDoc] = {}
+def iter_corpus(path) -> Iterator[CorpusDoc]:
+    """Yield the documents of a corpus JSONL file in file order, one line at
+    a time.  A bad line or a repeated pmid raises when it is reached."""
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
@@ -321,16 +324,20 @@ def load_corpus(path) -> Corpus:
             if not isinstance(obj["title"], str):
                 raise MalformedLineError(path, line_no, "title must be a string")
             pmid = str(obj["pmid"])
-            if pmid in docs:
+            if pmid in seen:
                 raise MalformedLineError(path, line_no, f"duplicate pmid {pmid!r}")
-            docs[pmid] = CorpusDoc(
+            seen.add(pmid)
+            yield CorpusDoc(
                 pmid=pmid,
                 title=obj["title"],
                 abstract=str(obj.get("abstract") or ""),
                 mesh_terms=tuple(str(m) for m in obj.get("mesh", [])),
                 pub_types=tuple(str(p) for p in obj.get("pub_types", [])),
             )
-    return Corpus(docs)
+
+
+def load_corpus(path) -> Corpus:
+    return Corpus({doc.pmid: doc for doc in iter_corpus(path)})
 
 
 def write_corpus(corpus: Corpus, path) -> None:

@@ -231,7 +231,8 @@ def cmd_ingest(cfg: AppConfig) -> dict:
     cfg.ensure_dirs()
     topics = cfg.load_topics()
     qrels = cfg.load_qrels()
-    corpus = colls.load_corpus(cfg.corpus) if cfg.corpus else None
+    # The corpus is counted and validated as it streams past, never held.
+    corpus_docs = sum(1 for _ in colls.iter_corpus(cfg.corpus)) if cfg.corpus else 0
     vocab = cfg.load_vocab()
 
     existing = {r.run_id for r in read_records(cfg.runlog)}
@@ -262,7 +263,7 @@ def cmd_ingest(cfg: AppConfig) -> dict:
         "topics_with_original_query": sum(1 for t in topics if t.original_query),
         "topics_with_seed_studies": sum(1 for t in topics if t.seed_studies),
         "judgments": len(qrels.judgments),
-        "corpus_docs": len(corpus) if corpus else 0,
+        "corpus_docs": corpus_docs,
         "mesh_descriptors": len(vocab) if vocab else 0,
         "original_records_added": len(records),
     }
@@ -496,8 +497,7 @@ def cmd_execute(cfg: AppConfig, backend=None) -> list[RunRecord]:
             raise UsageError("local execution requires a corpus path")
         ok = [q for q in queries if not isinstance(q, Exception)]
         if ok:
-            index = build_index(colls.load_corpus(cfg.corpus), cfg.load_vocab(),
-                                queries=ok)
+            index = build_index(colls.iter_corpus(cfg.corpus), cfg.load_vocab(), queries=ok)
     entrez_cfg = cfg.entrez
     if cfg.execution_backend == "entrez":
         base = entrez_cfg or ez.EntrezConfig()

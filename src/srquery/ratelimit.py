@@ -1,7 +1,9 @@
 """The one HTTP transport of the network clients, and its request pacing.
 
 ``request_json`` serves both the chat backend and Entrez esearch on the
-standard library: every attempt takes a ``RateLimiter`` slot, 429 and 5xx
+standard library: every attempt takes a ``RateLimiter`` slot and reports
+its answer back to the limiter, so a sequential caller waits one interval
+after each answer before its next request is sent; 429 and 5xx
 gateway statuses are retried with exponential backoff, or after the wait a
 delay-seconds ``Retry-After`` asks for (RFC 9110 §10.2.3), and every failed
 request surfaces as one ``HttpError`` type.
@@ -35,7 +37,12 @@ class RateLimiter:
     """Spaces request grants at least 1/rate seconds apart, shared across
     threads.  ``acquire`` blocks until the caller's slot and returns the
     slot's monotonic time; no two slots are ever closer than the interval,
-    so granted traffic cannot exceed the configured requests/second."""
+    so granted traffic cannot exceed the configured requests/second.
+
+    ``done`` marks a request answered and pushes the next slot to at least
+    one interval after that moment.  A request sent late after its grant
+    therefore still reaches the server one interval after the request
+    before it: a sequential caller's requests arrive at least 1/rate apart."""
 
     def __init__(self, rate: float):
         if rate <= 0:
@@ -53,6 +60,10 @@ class RateLimiter:
         if wait > 0:
             time.sleep(wait)
         return slot
+
+    def done(self) -> None:
+        with self._lock:
+            self._next_allowed = max(self._next_allowed, time.monotonic() + self.interval)
 
 
 def request_json(url: str, *, timeout: float, payload=None, headers: Optional[dict] = None,
@@ -85,6 +96,9 @@ def request_json(url: str, *, timeout: float, payload=None, headers: Optional[di
                     retry_after = int(hint) if hint.isascii() and hint.isdigit() else None
         except (OSError, http.client.HTTPException) as e:
             raise HttpError(0, str(getattr(e, "reason", e))) from e
+        finally:
+            if limiter is not None:
+                limiter.done()
         if status not in RETRYABLE:
             raise HttpError(status, detail)
         if retry_after is not None and retry_after > timeout:

@@ -19,8 +19,8 @@ emulated.
 The index (:func:`build_index`, :func:`execute_local` and the ``_index_*``
 helpers) answers every term without scanning its vocabulary:
 
-* postings are lists built in one pass over each field, naming each pmid
-  once per key; lookups copy them into fresh sets;
+* postings are lists that name each pmid once per key; lookups copy them
+  into fresh sets;
 * single tokens, MeSH names and publication types are postings lookups;
 * a ``*`` term is a bisect range over the sorted keys of its postings;
 * an exploded MeSH term reads a sorted (tree number, name) table: its
@@ -31,10 +31,15 @@ helpers) answers every term without scanning its vocabulary:
   (see ``_spaced``): the stored title or abstract, or each canonical MeSH
   name in turn.  The index keeps no per-document token arrays.
 
-``build_index(corpus, vocab)`` posts every token.  Given ``queries``, the
-title, abstract and MeSH token postings keep only the tokens those queries
-read (``_query_tokens``), and the index answers those queries and no
-others: a term it was not built for may miss documents.
+:func:`build_index` makes one pass over the documents, so it can take
+them streamed from the corpus file (``collections.iter_corpus``) and never
+hold the corpus.  ``build_index(corpus, vocab)`` posts every token and
+stores every text.  Given ``queries``, the title, abstract and MeSH token
+postings keep only the queries' exact tokens and the tokens under their
+one-token ``*`` stems (one compiled pattern per build), and a title or
+abstract text is stored only for a phrase candidate: a field that holds
+every exactly matched token of some phrase.  Such an index answers those
+queries and no others: a term it was not built for may miss documents.
 
 The oracle (:func:`execute_naive`, ``_doc_term_match``, ``_phrase_at``,
 ``_exploded_names`` and :func:`explode_mesh`) re-tokenizes every document
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
@@ -141,87 +147,83 @@ def _spaced(tokens: list[str]) -> str:
     return " " + " ".join(tokens) + " "
 
 
-def _canonical_mesh(tag: str, vocab: Optional[MeshVocab]) -> tuple[str, str, frozenset[str]]:
-    """A raw MeSH tag's lowercased canonical name, its spaced form and its
-    tokens."""
-    descriptor = vocab.lookup(tag) if vocab is not None else None
-    name = (descriptor.name if descriptor is not None else tag).lower()
-    tokens = tokenize(name)
-    return name, _spaced(tokens), frozenset(tokens)
-
-
 _TEXT_KINDS = (FieldKind.TITLE, FieldKind.TITLE_ABSTRACT, FieldKind.ALL_FIELDS, FieldKind.OTHER)
 
 
-def _query_tokens(
-    queries: Iterable[Query],
-    corpus: Corpus,
-    canonical: dict[str, tuple[str, str, frozenset[str]]],
-) -> set[str]:
-    """The title, abstract and MeSH tokens whose postings the queries read
-    (see ``_index_field_match``): the exactly matched tokens of every
-    text-field term, and every corpus token under the prefix of a one-token
-    ``*`` term.  The corpus vocabulary lives only in here, so it is garbage
-    before the index stores any text or posting."""
-    needed: set[str] = set()
-    prefixes: set[str] = set()
-    for q in queries:
-        for term in iter_terms(q.root):
-            if term.field.kind not in _TEXT_KINDS:
-                continue
-            tokens = tokenize(term.text)
-            if term.truncated and len(tokens) == 1:
-                prefixes.add(tokens[0])
-            else:
-                needed.update(tokens[:-1] if term.truncated else tokens)
-    if prefixes:
-        vocabulary: set[str] = set()
-        for doc in corpus.docs.values():
-            vocabulary.update(tokenize(doc.title), tokenize(doc.abstract))
-        vocabulary.update(*(tokens for _, _, tokens in canonical.values()))
-        ordered = tuple(sorted(vocabulary))
-        for prefix in prefixes:
-            needed.update(_prefix_range(ordered, prefix))
-    return needed
+def _alternation(stems: set[str]) -> str:
+    """A regex that matches a string starting with any of the stems, its
+    shared leading characters factored out as in a trie."""
+    if "" in stems:
+        return ""
+    heads = sorted({stem[0] for stem in stems})
+    alts = [h + _alternation({s[1:] for s in stems if s[0] == h}) for h in heads]
+    return alts[0] if len(alts) == 1 else "(?:" + "|".join(alts) + ")"
 
 
 def build_index(
-    corpus: Corpus, vocab: Optional[MeshVocab] = None, queries: Optional[Iterable[Query]] = None
+    docs: Corpus | Iterable[CorpusDoc], vocab: Optional[MeshVocab] = None,
+    queries: Optional[Iterable[Query]] = None,
 ) -> Index:
-    """Index the corpus.  Without ``queries`` every token is posted.  With
-    them, the title, abstract and MeSH token postings keep only the tokens
-    those queries read, and the index answers those queries and no others;
-    descriptor and publication-type postings, texts and MeSH names are
-    always whole."""
-    # Raw MeSH tag -> (lowercased canonical name, its spaced form, its tokens).
-    canonical = {tag: _canonical_mesh(tag, vocab)
-                 for tag in {tag for doc in corpus.docs.values() for tag in doc.mesh_terms}}
-    keep = None if queries is None else _query_tokens(queries, corpus, canonical)
+    """Index a corpus, or documents streamed once in any iterable.  Without
+    ``queries`` every token is posted and every text stored.  With them,
+    the index answers those queries and no others: the title, abstract and
+    MeSH postings keep only the queries' exact tokens and the tokens under
+    their one-token ``*`` stems, and a title or abstract text is stored only
+    when it holds every exactly matched token of some phrase.  Descriptor
+    and publication-type postings and MeSH names are always whole."""
+    exact: set[str] = set()
+    stems: set[str] = set()
+    phrases: set[frozenset[str]] = set()
+    for term in (t for q in queries or () for t in iter_terms(q.root)):
+        tokens = tokenize(term.text) if term.field.kind in _TEXT_KINDS else ()
+        if term.truncated and len(tokens) == 1:
+            stems.add(tokens[0])
+        elif tokens:
+            matched = tokens[:-1] if term.truncated else tokens
+            exact.update(matched)
+            if len(tokens) > 1:
+                phrases.add(frozenset(matched))
+    under_stem = re.compile(f" ({_alternation(stems)}[a-z0-9]*)").findall if stems else None
 
-    def kept(tokens) -> set[str]:
-        return set(tokens) if keep is None else keep.intersection(tokens)
+    def kept(text: str) -> tuple[list[str], set[str]]:
+        """A text's tokens, and the ones to post."""
+        chars = text.lower().translate(_SEPARATORS)
+        tokens = chars.split()
+        if queries is None:
+            return tokens, set(tokens)
+        posted = exact.intersection(tokens)
+        if under_stem:
+            posted.update(under_stem(" " + chars))
+        return tokens, posted
 
+    canonical: dict[str, tuple[str, str, set[str]]] = {}  # raw tag -> name, spaced, posted
     postings = {field: defaultdict(list) for field in ("title", "abstract", "mesh")}
     texts: dict[str, dict[str, str]] = {"title": {}, "abstract": {}}
     mesh_names: dict[str, tuple[str, ...]] = {}
     descriptor_map: defaultdict[str, list[str]] = defaultdict(list)
     pub_types: defaultdict[str, list[str]] = defaultdict(list)
-
-    for field in ("title", "abstract"):
-        field_postings, field_texts = postings[field], texts[field]
-        for pmid, doc in corpus.docs.items():
-            tokens = tokenize(getattr(doc, field))
-            field_texts[pmid] = _spaced(tokens)
-            for tok in kept(tokens):
-                field_postings[tok].append(pmid)
-    mesh_postings = postings["mesh"]
-    for pmid, doc in corpus.docs.items():
+    pmids: list[str] = []
+    for doc in docs.docs.values() if isinstance(docs, Corpus) else docs:
+        pmid = doc.pmid
+        pmids.append(pmid)
+        for field, text in (("title", doc.title), ("abstract", doc.abstract)):
+            tokens, posted = kept(text)
+            if queries is None or any(phrase <= posted for phrase in phrases):
+                texts[field][pmid] = _spaced(tokens)
+            for tok in posted:
+                postings[field][tok].append(pmid)
+        for tag in doc.mesh_terms:
+            if tag not in canonical:
+                descriptor = vocab.lookup(tag) if vocab is not None else None
+                name = (descriptor.name if descriptor is not None else tag).lower()
+                tokens, posted = kept(name)
+                canonical[tag] = name, _spaced(tokens), posted
         entries = [canonical[tag] for tag in doc.mesh_terms]
         mesh_names[pmid] = tuple(spaced for _, spaced, _ in entries)
         for name in {name for name, _, _ in entries}:
             descriptor_map[name].append(pmid)
-        for tok in kept(frozenset().union(*(tokens for _, _, tokens in entries))):
-            mesh_postings[tok].append(pmid)
+        for tok in set().union(*(posted for _, _, posted in entries)):
+            postings["mesh"][tok].append(pmid)
         for pub_type in {p.lower().strip() for p in doc.pub_types}:
             pub_types[pub_type].append(pmid)
 
@@ -238,7 +240,7 @@ def build_index(
         mesh_trees=mesh_trees,
         pub_type_postings=dict(pub_types),
         sorted_pub_types=tuple(sorted(pub_types)),
-        all_pmids=frozenset(corpus.docs),
+        all_pmids=frozenset(pmids),
         vocab=vocab,
     )
 

@@ -9,6 +9,7 @@ from srquery.collections import (
     MissingFieldError,
     NegativeGradeError,
     Qrels,
+    iter_corpus,
     load_corpus,
     load_mesh,
     load_qrels,
@@ -179,6 +180,45 @@ def test_load_corpus_duplicate_pmid(tmp_path):
     path.write_text('{"pmid":"1","title":"a"}\n{"pmid":"1","title":"b"}\n')
     with pytest.raises(MalformedLineError):
         load_corpus(path)
+
+
+def test_iter_corpus_yields_the_loaded_docs_in_file_order(fixture_dir, corpus):
+    docs = list(iter_corpus(fixture_dir / "corpus.jsonl"))
+    assert [d.pmid for d in docs] == list(corpus.docs)
+    assert docs == list(corpus.docs.values())
+
+
+# Each bad line follows a good line and a blank one, so the reported line
+# number counts blank lines too.
+CORPUS_ERRORS = {
+    "invalid-json": ('{"pmid":"1",', MalformedLineError),
+    "missing-pmid": ('{"title":"no pmid"}', MissingFieldError),
+    "missing-title": ('{"pmid":"2"}', MissingFieldError),
+    "non-string-title": ('{"pmid":"2","title":42}', MalformedLineError),
+    "duplicate-pmid": ('{"pmid":"1","title":"b"}', MalformedLineError),
+}
+CORPUS_READERS = {"load_corpus": load_corpus, "iter_corpus": lambda p: list(iter_corpus(p))}
+
+
+@pytest.mark.parametrize("reader", CORPUS_READERS.values(), ids=CORPUS_READERS)
+@pytest.mark.parametrize("bad_line,error", CORPUS_ERRORS.values(), ids=CORPUS_ERRORS)
+def test_corpus_readers_raise_the_same_error_at_the_same_line(tmp_path, reader, bad_line, error):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"pmid":"1","title":"a"}\n\n' + bad_line + "\n")
+    with pytest.raises(error, match=f":3: ") as exc:
+        reader(path)
+    assert type(exc.value) is error
+    if error is MalformedLineError:
+        assert exc.value.line_no == 3
+
+
+def test_iter_corpus_yields_the_docs_before_a_bad_line(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"pmid":"1","title":"a"}\n{"pmid":"1","title":"b"}\n')
+    docs = iter_corpus(path)
+    assert next(docs).title == "a"
+    with pytest.raises(MalformedLineError, match="duplicate pmid"):
+        next(docs)
 
 
 def test_load_mesh_lookup_is_case_insensitive(vocab):

@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -274,3 +275,61 @@ def test_rate_limiter_spacing_under_8_threads():
     for i, start in enumerate(slots):
         in_window = [s for s in slots[i:] if s < start + 1.0]
         assert len(in_window) <= rate
+
+
+def test_rate_limiter_spaces_arrivals_of_late_sends():
+    # A sequential caller whose sends lag their grants, as on a busy host,
+    # still lands its requests one interval apart at the server: the next
+    # grant waits one interval after the previous answer.
+    rate = 50.0
+    limiter = RateLimiter(rate)
+    arrivals = []
+    for delay in [0.015, 0.0, 0.018, 0.0, 0.01, 0.0, 0.019, 0.019, 0.0]:
+        limiter.acquire()
+        time.sleep(delay)
+        arrivals.append(time.monotonic())
+        limiter.done()
+    gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
+    assert min(gaps) >= (1.0 / rate) - 1e-9
+
+
+class _RecordingLimiter(RateLimiter):
+    def __init__(self):
+        super().__init__(10_000)
+        self.calls = []
+
+    def acquire(self):
+        self.calls.append("acquire")
+        return super().acquire()
+
+    def done(self):
+        self.calls.append("done")
+        super().done()
+
+
+@pytest.mark.parametrize("fail_once, status, calls", [
+    (None, 200, ["acquire", "done"]),
+    (503, 200, ["acquire", "done"] * 2),
+    (None, 404, ["acquire", "done"]),
+], ids=["ok", "retried-503", "404"])
+def test_request_json_reports_every_answer_to_the_limiter(esearch_stub, fail_once, status, calls):
+    _EsearchStub.fail_once, _EsearchStub.status = fail_once, status
+    limiter = _RecordingLimiter()
+    try:
+        request_json(f"{esearch_stub}?term=x", timeout=5.0, backoff=0.0, limiter=limiter)
+    except HttpError:
+        assert status != 200
+    assert limiter.calls == calls
+
+
+def test_request_json_reports_a_refused_connection_to_the_limiter():
+    import socket
+
+    with socket.socket() as sock:  # a local port that nothing listens on
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    limiter = _RecordingLimiter()
+    with pytest.raises(HttpError) as exc:
+        request_json(f"http://127.0.0.1:{port}/", timeout=1.0, limiter=limiter)
+    assert exc.value.status == 0
+    assert limiter.calls == ["acquire", "done"]

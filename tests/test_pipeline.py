@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from srquery import cli, pipeline, prompts
+from srquery.collections import MalformedLineError
 from srquery.gateway import BackendConfig, Conversation, MockBackend, conversation_digest
 from srquery.pipeline import (
     AppConfig,
@@ -74,6 +75,17 @@ def test_ingest_summary_and_original_records(tmp_path):
     records = read_records(cfg.runlog)
     assert all(r.prompt_id == "original" and r.stage == "generate" for r in records)
     assert check_integrity(records) == []
+
+
+def test_ingest_rejects_a_duplicate_pmid_before_writing_any_record(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"pmid":"1","title":"a"}\n{"pmid":"1","title":"b"}\n')
+    cfg = make_config(tmp_path)
+    cfg.corpus = str(corpus)
+    with pytest.raises(MalformedLineError, match="duplicate pmid") as exc:
+        cmd_ingest(cfg)
+    assert exc.value.line_no == 2
+    assert read_records(cfg.runlog) == []
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +395,22 @@ def test_execute_entrez_backed_by_stub(tmp_path):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_entrez_runs_never_read_a_corpus(tmp_path, monkeypatch):
+    from srquery import collections, entrez
+
+    reads, searched = [], []
+    monkeypatch.setattr(collections, "iter_corpus", lambda *a: reads.append(a) or iter(()))
+    monkeypatch.setattr(collections, "load_corpus", lambda *a: reads.append(a))
+    monkeypatch.setattr(entrez, "entrez_search",
+                        lambda query, cfg, limiter=None: searched.append(query) or {"1001"})
+    cfg = make_config(tmp_path)
+    cfg.execution_backend, cfg.corpus = "entrez", None
+    assert cmd_ingest(cfg)["corpus_docs"] == 0
+    records = cmd_execute(cfg)
+    assert [r.status for r in records] == ["ok"] * 3 and len(searched) == 3
+    assert reads == []
 
 
 class _StallingHandler(BaseHTTPRequestHandler):

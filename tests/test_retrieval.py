@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from functools import partial
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from randgen import (
     HARD_TOKENS,
+    WORDS,
     fixture_vocab,
     random_corpus,
     random_hard_corpus,
@@ -18,9 +20,12 @@ from randgen import (
     random_term,
     random_tree_vocab,
 )
-from srquery.collections import Corpus, CorpusDoc, MeshDescriptor, MeshVocab
+from srquery.collections import (
+    Corpus, CorpusDoc, MeshDescriptor, MeshVocab, iter_corpus, load_corpus,
+)
 from srquery.query_ast import FieldKind, FieldTag, Op, Operator, Query, Term, iter_terms, parse
 from srquery.retrieval import (
+    Index,
     InvalidQueryError,
     UnknownDescriptorError,
     build_index,
@@ -28,6 +33,7 @@ from srquery.retrieval import (
     execute_naive,
     explode_mesh,
     tokenize,
+    _alternation,
     _phrase_at,
 )
 
@@ -251,7 +257,7 @@ def test_query_driven_index_equals_naive():
 
 def test_query_driven_index_posts_only_query_tokens():
     text_kinds = {FieldKind.TITLE, FieldKind.TITLE_ABSTRACT, FieldKind.ALL_FIELDS, FieldKind.OTHER}
-    dropped = 0
+    dropped = texts_dropped = 0
     for corpus, vocab, queries in query_driven_instances(727272, hard=60, plain=40):
         terms = [t for q in queries for t in iter_terms(q.root) if t.field.kind in text_kinds]
         exact = {tok for t in terms for tok in tokenize(t.text)}
@@ -265,8 +271,22 @@ def test_query_driven_index_posts_only_query_tokens():
             dropped += len(full.postings[field]) - len(postings)
         assert idx.descriptor_map == full.descriptor_map
         assert idx.pub_type_postings == full.pub_type_postings
-        assert idx.texts == full.texts and idx.mesh_names == full.mesh_names
-    assert dropped > 0
+        assert idx.mesh_names == full.mesh_names
+        # Stored texts are whole, and every text a phrase check reads is
+        # stored: a field holding each exactly matched token of a phrase.
+        for field, stored in idx.texts.items():
+            assert all(text == full.texts[field][pmid] for pmid, text in stored.items())
+            texts_dropped += len(full.texts[field]) - len(stored)
+        for t in terms:
+            tokens = tokenize(t.text)
+            if len(tokens) < 2:
+                continue
+            needed = set(tokens[:-1] if t.truncated else tokens)
+            for field in ["title"] if t.field.kind is FieldKind.TITLE else ["title", "abstract"]:
+                for pmid, text in full.texts[field].items():
+                    if needed <= set(text.split()):
+                        assert idx.texts[field][pmid] == text, (field, pmid, t.text)
+    assert dropped > 0 and texts_dropped > 0
     idx = build_index(mini_corpus(p1="thyroid cancer screening"), queries=[parse("cancer[tiab]")])
     assert idx.postings["title"] == {"cancer": ["p1"]}
     # A stem's expansions come from every field's tokens.
@@ -279,6 +299,53 @@ def test_query_driven_index_posts_only_query_tokens():
     assert execute_local(idx, parse("elast*")) == {"p1", "p2", "p3"}
     assert {field: list(postings) for field, postings in idx.postings.items()} == {
         "title": ["elastography"], "abstract": ["elastic"], "mesh": ["elastin"]}
+
+
+def test_streamed_build_equals_loaded_build(fixture_dir, topics, vocab):
+    path = fixture_dir / "corpus.jsonl"
+    queries = [parse(t.original_query) for t in topics if t.original_query]
+    streamed = build_index(iter_corpus(path), vocab, queries=queries)
+    loaded = build_index(load_corpus(path), vocab, queries=queries)
+    for field in dataclasses.fields(Index):
+        assert getattr(streamed, field.name) == getattr(loaded, field.name), field.name
+
+
+def prefix_stem_term(rng: random.Random) -> Term:
+    """A one-token stem cut from a word at a random length, so a handful of
+    queries holds dozens of stems that prefix one another or share leading
+    characters ("t", "th", "thy", "te", "tr" ...)."""
+    word = rng.choice(WORDS + HARD_TOKENS)
+    field = rng.choice([FieldTag(FieldKind.TITLE), FieldTag(FieldKind.TITLE_ABSTRACT),
+                        FieldTag(FieldKind.ALL_FIELDS)])
+    return Term(word[: rng.randint(1, len(word))], field, truncated=True)
+
+
+def test_query_driven_index_with_many_prefix_sharing_stems_equals_naive():
+    rng = random.Random(929292)
+    vocab = fixture_vocab()
+    make_term = lambda r: prefix_stem_term(r) if r.random() < 0.7 else random_term(r)
+    nested = 0
+    for _ in range(40):
+        corpus = random_corpus(rng, max_docs=80)
+        queries = [random_query(rng, max_depth=3, max_terms=12, make_term=make_term)
+                   for _ in range(6)]
+        stems = {t.text for q in queries for t in iter_terms(q.root)
+                 if t.truncated and len(tokenize(t.text)) == 1}
+        assert len(stems) >= 10 and len({stem[0] for stem in stems}) < len(stems)
+        nested += any(a != b and b.startswith(a) for a in stems for b in stems)
+        idx = build_index(corpus, vocab, queries=queries)
+        for q in queries:
+            assert execute_local(idx, q) == execute_naive(corpus, q, vocab)
+    assert nested >= 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.text("abc", min_size=1, max_size=4), min_size=1, max_size=12),
+       st.lists(st.text("abcd", max_size=6), max_size=20))
+def test_stem_alternation_matches_exactly_the_tokens_under_a_stem(stems, tokens):
+    pattern = re.compile(_alternation(stems))
+    for tok in tokens:
+        assert bool(pattern.match(tok)) == tok.startswith(tuple(stems)), (stems, tok)
 
 
 # The index verifies a phrase by substring search in spaced texts; the
