@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 __all__ = [
     "CollectionTag",
@@ -38,14 +38,10 @@ __all__ = [
     "NegativeGradeError",
     "MissingFieldError",
     "load_topics",
-    "write_topics",
     "load_qrels",
-    "write_qrels",
     "iter_corpus",
     "load_corpus",
-    "write_corpus",
     "load_mesh",
-    "write_mesh",
 ]
 
 # Collection tags; CLEF topics carry expert queries, SEED topics carry seed
@@ -96,10 +92,6 @@ class SeedStudy:
     def __post_init__(self) -> None:
         if not self.pmid:
             raise MissingFieldError("seed study pmid must be non-empty")
-
-    @property
-    def has_abstract(self) -> bool:
-        return bool(self.abstract.strip())
 
 
 @dataclass(frozen=True)
@@ -188,9 +180,6 @@ class MeshVocab:
     def __len__(self) -> int:
         return len(self.descriptors)
 
-    def names(self) -> list[str]:
-        return [d.name for d in self.descriptors.values()]
-
 
 # ---------------------------------------------------------------------------
 # Topics
@@ -247,20 +236,6 @@ def load_topics(path, tag: CollectionTag = CLEF) -> list[ReviewTopic]:
     return topics
 
 
-def write_topics(topics: Iterable[ReviewTopic], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for t in topics:
-            obj = {"topic_id": t.topic_id, "title": t.title, "collection": t.collection_tag}
-            if t.original_query is not None:
-                obj["original_query"] = t.original_query
-            if t.seed_studies:
-                obj["seed_studies"] = [
-                    {"pmid": s.pmid, "title": s.title, "abstract": s.abstract}
-                    for s in t.seed_studies
-                ]
-            f.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Qrels
 # ---------------------------------------------------------------------------
@@ -294,12 +269,6 @@ def load_qrels(path) -> Qrels:
                 )
             judgments[key] = grade
     return Qrels(judgments)
-
-
-def write_qrels(qrels: Qrels, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for (topic_id, pmid), grade in sorted(qrels.judgments.items()):
-            f.write(f"{topic_id} 0 {pmid} {grade}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +309,6 @@ def load_corpus(path) -> Corpus:
     return Corpus({doc.pmid: doc for doc in iter_corpus(path)})
 
 
-def write_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for doc in corpus.docs.values():
-            obj = {
-                "pmid": doc.pmid,
-                "title": doc.title,
-                "abstract": doc.abstract,
-                "mesh": list(doc.mesh_terms),
-                "pub_types": list(doc.pub_types),
-            }
-            f.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
-
-
 def load_mesh(path) -> MeshVocab:
     """Load a TSV of descriptors: ``ui<TAB>name<TAB>tree;tree``."""
     descriptors: dict[str, MeshDescriptor] = {}
@@ -373,9 +329,3 @@ def load_mesh(path) -> MeshVocab:
                 name=name.strip(), ui=ui.strip(), tree_numbers=tree_numbers
             )
     return MeshVocab(descriptors)
-
-
-def write_mesh(vocab: MeshVocab, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for descriptor in vocab.descriptors.values():
-            f.write(f"{descriptor.ui}\t{descriptor.name}\t{';'.join(descriptor.tree_numbers)}\n")

@@ -1,5 +1,6 @@
-"""PubMed Entrez esearch client: pagination, shared rate limiting, and an
-on-disk result cache keyed by query digest.
+"""PubMed Entrez esearch client: pagination, shared rate limiting, and the
+on-disk result cache keyed by query digest, which the execute stage fills
+for every execution backend.
 
 Each page is one call of the shared transport, ``ratelimit.request_json``,
 which retries 429 and 5xx and raises ``HttpError`` (re-exported here).  NCBI
@@ -58,7 +59,6 @@ class EntrezConfig:
     retmax: int = MAX_RETMAX
     rate_limit: Optional[float] = None
     timeout: float = 60.0
-    cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.retmax <= MAX_RETMAX:
@@ -138,12 +138,6 @@ def entrez_search(
     """Run esearch for the query's canonical serialization and return the
     full pmid set, paginating with retstart until the count is exhausted."""
     term = serialize(q)
-    digest = query_digest(term)
-    if cfg.cache_dir is not None:
-        cached = load_cached_result(cfg.cache_dir, digest)
-        if cached is not None:
-            return set(cached)
-
     limiter = limiter or RateLimiter(cfg.effective_rate())
     url = cfg.base_url.rstrip("/") + "/esearch.fcgi"
     params = {"db": "pubmed", "term": term, "retmax": cfg.retmax, "retmode": "json"}
@@ -158,13 +152,16 @@ def entrez_search(
         params["retstart"] = retstart
         body = request_json(f"{url}?{urllib.parse.urlencode(params)}",
                             timeout=cfg.timeout, limiter=limiter)
-        if "esearchresult" not in body:
-            raise ApiError(f"malformed esearch response: {list(body)[:5]}")
-        result = body["esearchresult"]
+        result = body.get("esearchresult") if isinstance(body, dict) else None
+        if not isinstance(result, dict):
+            raise ApiError(f"malformed esearch response: {str(body)[:80]}")
         if "ERROR" in result:
             raise ApiError(str(result["ERROR"]))
-        count = int(result.get("count", 0))
-        pmids.extend(result.get("idlist", []))
+        count, ids = result.get("count", 0), result.get("idlist", [])
+        if not str(count).isdecimal() or not isinstance(ids, list):
+            raise ApiError(f"malformed esearch result: {str(result)[:80]}")
+        count = int(count)
+        pmids.extend(ids)
         translation = result.get("querytranslation")
         if retstart == 0 and translation and translation != term:
             log.warning(
@@ -175,7 +172,4 @@ def entrez_search(
         if count == 0:
             break
 
-    unique = sorted(set(pmids))
-    if cfg.cache_dir is not None:
-        store_result(cfg.cache_dir, digest, unique)
-    return set(unique)
+    return set(pmids)

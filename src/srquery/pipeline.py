@@ -6,10 +6,11 @@ result cache, so each one can be re-run safely: work already recorded is
 skipped, per-topic failures are recorded without aborting the batch, and
 with the mock backend the whole pipeline is deterministic.
 
-The three generation stages (formulate, refine, guided) differ only in
-their usage checks and in how they build each cell of the experiment
-grid; one runner, ``_generate``, skips recorded cells, records outcomes
-and errors, and runs topics in parallel for all of them.
+Every stage that writes records hands its cells to one runner,
+``_run_cells``: it skips the cells already logged and records each other
+one as ok, as skipped (no relevant judgments) or as an error from
+``RECORDED_ERRORS``; any other exception is a programming error and
+propagates.  Only the execute stage writes the result cache.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
@@ -59,7 +60,7 @@ from .prompts import (
     select_related_example,
 )
 from .query_ast import QueryParseError, parse, serialize
-from .retrieval import build_index, execute_local
+from .retrieval import InvalidQueryError, UnknownDescriptorError, build_index, execute_local
 from .runlog import RunRecord, append_records, check_integrity, read_records
 
 __all__ = [
@@ -126,10 +127,9 @@ class AppConfig:
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)
         try:
-            backend = BackendConfig(**obj.pop("backend", {}))
-            entrez_cfg = ez.EntrezConfig(**obj["entrez"]) if obj.get("entrez") else None
-            obj.pop("entrez", None)
-            return cls(backend=backend, entrez=entrez_cfg, **obj)
+            entrez_cfg = obj.pop("entrez", None)
+            return cls(backend=BackendConfig(**obj.pop("backend", {})),
+                       entrez=ez.EntrezConfig(**entrez_cfg) if entrez_cfg else None, **obj)
         except TypeError as e:
             raise UsageError(f"bad configuration key in {path}: {e}") from e
 
@@ -178,15 +178,41 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _run_parallel(tasks: list[Callable[[], list[RunRecord]]], parallelism: int) -> list[RunRecord]:
-    if parallelism <= 1 or len(tasks) <= 1:
-        results = [task() for task in tasks]
+# The failures a cell records as its outcome.  Anything else raised by a
+# cell is a programming error and propagates.
+RECORDED_ERRORS = (
+    GatewayError, HttpError, ez.EntrezError, QueryParseError, InvalidQueryError,
+    UnknownDescriptorError, UsageError, EmptyPoolError, MissingBindingError,
+    EmptySeedStudyError, OSError,
+)
+
+
+def _run_cells(cfg: AppConfig, groups: list[list[tuple[dict, Callable[[], dict]]]],
+               logged: set[str]) -> list[RunRecord]:
+    """The one stage runner.  Each cell is ``(base, make)``: a cell whose
+    ``base["run_id"]`` is ``logged`` is skipped, any other is recorded as
+    ``RunRecord(**base, **make())``, as skipped on ``NoRelevantDocsError``,
+    or as an error on ``RECORDED_ERRORS``.  Groups run in parallel and the
+    cells of a group in order; the records come back in group order."""
+    def run_group(cells) -> list[RunRecord]:
+        out = []
+        for base, make in cells:
+            if base["run_id"] in logged:
+                continue
+            try:
+                out.append(RunRecord(**base, **make()))
+            except (NoRelevantDocsError, *RECORDED_ERRORS) as e:
+                log.warning("%s: %s", base["run_id"], e)
+                status = "skipped" if isinstance(e, NoRelevantDocsError) else "error"
+                out.append(RunRecord(**base, status=status, error=str(e)))
+        return out
+
+    if cfg.parallelism <= 1 or len(groups) <= 1:
+        batches = [run_group(cells) for cells in groups]
     else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(lambda t: t(), tasks))
-    records = [record for batch in results for record in batch]
-    records.sort(key=lambda r: r.run_id)  # deterministic log order under parallelism
-    return records
+        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
+            batches = list(pool.map(run_group, groups))
+    return [record for batch in batches for record in batch]
 
 
 def _example_pool(topics: list[colls.ReviewTopic]) -> list[ExampleReview]:
@@ -235,27 +261,13 @@ def cmd_ingest(cfg: AppConfig) -> dict:
     corpus_docs = sum(1 for _ in colls.iter_corpus(cfg.corpus)) if cfg.corpus else 0
     vocab = cfg.load_vocab()
 
-    existing = {r.run_id for r in read_records(cfg.runlog)}
-    records = []
-    for topic in topics:
-        if not topic.original_query:
-            continue
-        run_id = f"gen:original:none:-:{topic.topic_id}:r0"
-        if run_id in existing:
-            continue
-        try:
-            canonical = serialize(parse(topic.original_query))
-        except QueryParseError as e:
-            records.append(RunRecord(
-                run_id=run_id, stage="generate", topic_id=topic.topic_id,
-                prompt_id="original", status="error", error=str(e),
-            ))
-            continue
-        records.append(RunRecord(
-            run_id=run_id, stage="generate", topic_id=topic.topic_id,
-            prompt_id="original", backend="none", query=canonical,
-            query_digest=ez.query_digest(canonical),
-        ))
+    def original(topic: colls.ReviewTopic) -> dict:
+        canonical = serialize(parse(topic.original_query))
+        return dict(backend="none", query=canonical, query_digest=ez.query_digest(canonical))
+    cells = [(dict(run_id=f"gen:original:none:-:{t.topic_id}:r0", stage="generate",
+                   topic_id=t.topic_id, prompt_id="original"), partial(original, t))
+             for t in topics if t.original_query]
+    records = _run_cells(cfg, [cells], {r.run_id for r in read_records(cfg.runlog)})
     append_records(cfg.runlog, records)
 
     summary = {
@@ -275,45 +287,29 @@ def cmd_ingest(cfg: AppConfig) -> dict:
 # formulate / refine / guided
 # ---------------------------------------------------------------------------
 
-_GENERATION_ERRORS = (
-    GatewayError, HttpError, EmptyPoolError, MissingBindingError, QueryParseError,
-    MissingSeedQueryError, EmptySeedStudyError, NoSeedStudyError,
-)
-
-
-def _generate(cfg: AppConfig, topics: list[colls.ReviewTopic], stage: str, prompt_id: str,
+def _generate(cfg: AppConfig, topics: list[colls.ReviewTopic], prompt_id: str,
               example_mode: str, seed_source: str, jobs, logged) -> list[RunRecord]:
-    """The one generation runner.  ``jobs(topic)`` lists the topic's
-    ``(run_id, run_index, make)`` cells; each cell not among the ``logged``
-    records is recorded as ``make()``'s outcome or, on a per-topic failure,
-    as an error.  Topics run in parallel, their cells in order."""
-    existing = {r.run_id for r in logged}
+    """Run the generation grid: ``jobs(topic)`` lists the topic's
+    ``(run_id, run_index, make)`` cells, ``make`` returning the
+    ``GenerationOutcome``.  Each topic is one group of the runner, and the
+    records are logged in run_id order, whatever the parallelism."""
     backend_label = cfg.backend.describe()
 
-    def run_topic(topic: colls.ReviewTopic) -> list[RunRecord]:
-        out = []
-        for run_id, run_index, make in jobs(topic):
-            if run_id in existing:
-                continue
-            base = dict(
-                run_id=run_id, stage="generate", topic_id=topic.topic_id,
-                prompt_id=prompt_id, example_mode=example_mode, seed_source=seed_source,
-                run_index=run_index, backend=backend_label,
-            )
-            try:
-                outcome = make()
-                canonical = serialize(outcome.query)
-                out.append(RunRecord(
-                    **base, attempt=outcome.attempts,
+    def generated(make) -> dict:
+        outcome = make()
+        canonical = serialize(outcome.query)
+        return dict(attempt=outcome.attempts,
                     raw_response_digest=_sha(outcome.raw_responses[-1]),
-                    query=canonical, query_digest=ez.query_digest(canonical),
-                ))
-            except _GENERATION_ERRORS as e:
-                log.warning("%s %s: %s", stage, run_id, e)
-                out.append(RunRecord(**base, status="error", error=str(e)))
-        return out
-
-    records = _run_parallel([partial(run_topic, t) for t in topics], cfg.parallelism)
+                    query=canonical, query_digest=ez.query_digest(canonical))
+    groups = [
+        [(dict(run_id=run_id, stage="generate", topic_id=topic.topic_id, prompt_id=prompt_id,
+               example_mode=example_mode, seed_source=seed_source, run_index=run_index,
+               backend=backend_label), partial(generated, make))
+         for run_id, run_index, make in jobs(topic)]
+        for topic in topics
+    ]
+    records = _run_cells(cfg, groups, {r.run_id for r in logged})
+    records.sort(key=lambda r: r.run_id)
     append_records(cfg.runlog, records)
     return records
 
@@ -348,8 +344,7 @@ def cmd_formulate(cfg: AppConfig, prompt_id: str, example_mode: str = "none",
         return [(f"gen:{prompt_id}:{example_mode}:-:{topic.topic_id}:r{i}", i, make)
                 for i in range(cfg.runs_per_topic)]
 
-    return _generate(cfg, topics, "formulate", prompt_id, example_mode, "", jobs,
-                     read_records(cfg.runlog))
+    return _generate(cfg, topics, prompt_id, example_mode, "", jobs, read_records(cfg.runlog))
 
 
 def _refinement_pool(
@@ -438,7 +433,7 @@ def cmd_refine(cfg: AppConfig, prompt_id: str, seed_source: str,
         return [(f"gen:{prompt_id}:{example_mode}:{seed_source}:{topic.topic_id}:r{i}", i, make)
                 for i in range(cfg.runs_per_topic)]
 
-    return _generate(cfg, topics, "refine", prompt_id, example_mode, seed_source, jobs, logged)
+    return _generate(cfg, topics, prompt_id, example_mode, seed_source, jobs, logged)
 
 
 def cmd_guided(cfg: AppConfig, backend=None) -> list[RunRecord]:
@@ -463,8 +458,7 @@ def cmd_guided(cfg: AppConfig, backend=None) -> list[RunRecord]:
             for i in range(cfg.runs_per_topic)
         ]
 
-    return _generate(cfg, topics, "guided", "guided", "none", "", jobs,
-                     read_records(cfg.runlog))
+    return _generate(cfg, topics, "guided", "none", "", jobs, read_records(cfg.runlog))
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +467,8 @@ def cmd_guided(cfg: AppConfig, backend=None) -> list[RunRecord]:
 
 def cmd_execute(cfg: AppConfig, backend=None) -> list[RunRecord]:
     """Fill retrieved pmid sets for every generated query, through the local
-    index or Entrez; results land in the digest-keyed cache."""
+    index or Entrez.  This stage owns the digest-keyed result cache: it
+    looks each query up there first and stores every result it computes."""
     cfg.ensure_dirs()
     logged = read_records(cfg.runlog)
     existing = {r.run_id for r in logged}
@@ -485,7 +480,7 @@ def cmd_execute(cfg: AppConfig, backend=None) -> list[RunRecord]:
     def parsed(text: str):
         try:
             return parse(text)
-        except Exception as e:  # recorded against its record below
+        except QueryParseError as e:  # recorded against its cell below
             return e
     # Each pending query is parsed once, before the build, because the
     # index holds only the postings the queries that parsed can read.
@@ -495,46 +490,33 @@ def cmd_execute(cfg: AppConfig, backend=None) -> list[RunRecord]:
     if cfg.execution_backend == "local":
         if not cfg.corpus:
             raise UsageError("local execution requires a corpus path")
-        ok = [q for q in queries if not isinstance(q, Exception)]
+        ok = [q for q in queries if not isinstance(q, QueryParseError)]
         if ok:
             index = build_index(colls.iter_corpus(cfg.corpus), cfg.load_vocab(), queries=ok)
-    entrez_cfg = cfg.entrez
-    if cfg.execution_backend == "entrez":
-        base = entrez_cfg or ez.EntrezConfig()
-        entrez_cfg = ez.EntrezConfig(**{**asdict(base), "cache_dir": base.cache_dir or cfg.cache_dir})
-    limiter = ez.RateLimiter(entrez_cfg.effective_rate()) if entrez_cfg else None
+    else:
+        entrez_cfg = cfg.entrez or ez.EntrezConfig()
+        limiter = ez.RateLimiter(entrez_cfg.effective_rate())
 
-    records = []
-    for gen, query in zip(pending, queries):
-        run_id = prefix + gen.run_id
-        try:
-            if isinstance(query, Exception):
-                raise query
-            digest = gen.query_digest or ez.query_digest(gen.query)
-            cached = ez.load_cached_result(cfg.cache_dir, digest)
-            if cached is not None:
-                pmids = set(cached)
-            elif cfg.execution_backend == "local":
-                pmids = execute_local(index, query)
-                ez.store_result(cfg.cache_dir, digest, sorted(pmids))
-            else:
-                pmids = ez.entrez_search(query, entrez_cfg, limiter=limiter)
-            records.append(RunRecord(
-                run_id=run_id, stage="execute", topic_id=gen.topic_id,
-                prompt_id=gen.prompt_id, example_mode=gen.example_mode,
-                seed_source=gen.seed_source, run_index=gen.run_index,
-                backend=cfg.execution_backend, query=gen.query, query_digest=digest,
-                retrieved_count=len(pmids), parent_run_id=gen.run_id,
-            ))
-        except Exception as e:  # per-record failures never abort the batch
-            log.warning("execute %s: %s", gen.run_id, e)
-            records.append(RunRecord(
-                run_id=run_id, stage="execute", topic_id=gen.topic_id,
-                prompt_id=gen.prompt_id, example_mode=gen.example_mode,
-                seed_source=gen.seed_source, run_index=gen.run_index,
-                backend=cfg.execution_backend, parent_run_id=gen.run_id,
-                status="error", error=str(e),
-            ))
+    def execute(gen: RunRecord, query) -> dict:
+        if isinstance(query, QueryParseError):
+            raise query
+        digest = gen.query_digest or ez.query_digest(gen.query)
+        pmids = ez.load_cached_result(cfg.cache_dir, digest)
+        if pmids is None:
+            pmids = (execute_local(index, query) if cfg.execution_backend == "local"
+                     else ez.entrez_search(query, entrez_cfg, limiter=limiter))
+            ez.store_result(cfg.cache_dir, digest, sorted(pmids))
+        return dict(query=gen.query, query_digest=digest, retrieved_count=len(set(pmids)))
+
+    # One group: executions run in log order, so Entrez sees one request at a time.
+    records = _run_cells(cfg, [[
+        (dict(run_id=prefix + gen.run_id, stage="execute", topic_id=gen.topic_id,
+              prompt_id=gen.prompt_id, example_mode=gen.example_mode,
+              seed_source=gen.seed_source, run_index=gen.run_index,
+              backend=cfg.execution_backend, parent_run_id=gen.run_id),
+         partial(execute, gen, query))
+        for gen, query in zip(pending, queries)
+    ]], existing)
     append_records(cfg.runlog, records)
     return records
 
@@ -545,38 +527,22 @@ def cmd_evaluate(cfg: AppConfig) -> list[RunRecord]:
     cfg.ensure_dirs()
     qrels = cfg.load_qrels()
     logged = read_records(cfg.runlog)
-    existing = {r.run_id for r in logged}
-    executions = [r for r in logged
-                  if r.stage == "execute" and r.status == "ok"]
 
-    records = []
-    for ex in executions:
-        run_id = f"eval:{ex.run_id}"
-        if run_id in existing:
-            continue
+    def evaluate(ex: RunRecord) -> dict:
         pmids = ez.load_cached_result(cfg.cache_dir, ex.query_digest)
-        base = dict(
-            run_id=run_id, stage="evaluate", topic_id=ex.topic_id,
-            prompt_id=ex.prompt_id, example_mode=ex.example_mode,
-            seed_source=ex.seed_source, run_index=ex.run_index,
-            query_digest=ex.query_digest, retrieved_count=ex.retrieved_count,
-            parent_run_id=ex.run_id,
-        )
         if pmids is None:
-            records.append(RunRecord(**base, status="error",
-                                     error="no cached result for query digest"))
-            continue
-        try:
-            m = evaluate_topic(set(pmids), qrels, ex.topic_id)
-        except NoRelevantDocsError as e:
-            log.warning("evaluate %s: %s", ex.run_id, e)
-            records.append(RunRecord(**base, status="skipped", error=str(e)))
-            continue
-        records.append(RunRecord(**base, metrics={
-            "precision": m.precision, "recall": m.recall, "f1": m.f1, "f3": m.f3,
-            "retrieved_count": m.retrieved_count, "relevant_count": m.relevant_count,
-            "hit_count": m.hit_count,
-        }))
+            raise FileNotFoundError("no cached result for query digest")
+        return dict(metrics=asdict(evaluate_topic(set(pmids), qrels, ex.topic_id)))
+
+    records = _run_cells(cfg, [[
+        (dict(run_id=f"eval:{ex.run_id}", stage="evaluate", topic_id=ex.topic_id,
+              prompt_id=ex.prompt_id, example_mode=ex.example_mode,
+              seed_source=ex.seed_source, run_index=ex.run_index,
+              query_digest=ex.query_digest, retrieved_count=ex.retrieved_count,
+              parent_run_id=ex.run_id),
+         partial(evaluate, ex))
+        for ex in logged if ex.stage == "execute" and ex.status == "ok"
+    ]], {r.run_id for r in logged})
     append_records(cfg.runlog, records)
     return records
 

@@ -39,6 +39,8 @@ __all__ = [
     "UnbalancedQuoteError",
     "AdjacentTermsError",
     "EmptyQueryError",
+    "NestingTooDeepError",
+    "MAX_NESTING",
     "parse",
     "serialize",
     "validate",
@@ -174,6 +176,16 @@ class EmptyQueryError(QueryParseError):
     pass
 
 
+class NestingTooDeepError(QueryParseError):
+    pass
+
+
+# Deepest nesting ``parse`` accepts, counting each open parenthesis and each
+# NOT of a chain; it keeps every recursive walk of a tree far from Python's
+# recursion limit, and real queries nest a few levels.
+MAX_NESTING = 100
+
+
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
@@ -266,6 +278,12 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.source_len = source_len
+        self.depth = 0
+
+    def nest(self, tok: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise NestingTooDeepError(f"query nests deeper than {MAX_NESTING} levels", tok.pos)
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -277,18 +295,22 @@ class _Parser:
         return tok
 
     def expression(self) -> Node:
+        outer = self.depth
         node = self.clause()
         while True:
             tok = self.peek()
             if tok is None or tok.kind == "RPAREN":
+                self.depth = outer
                 return node
             if tok.kind != "OP":
                 raise AdjacentTermsError(
                     "terms must be joined by AND/OR/NOT", tok.pos
                 )
             self.next()
-            right = self.clause()
             op = Op(tok.value)
+            if op is Op.NOT:  # a NOT chain nests one level per NOT
+                self.nest(tok)
+            right = self.clause()
             if op is not Op.NOT and isinstance(node, Operator) and node.op is op:
                 node = Operator(op, node.children + (right,))
             else:
@@ -306,7 +328,9 @@ class _Parser:
             raise QueryParseError("field tag without a preceding term", tok.pos)
         if tok.kind == "LPAREN":
             self.next()
+            self.nest(tok)
             node = self.expression()
+            self.depth -= 1
             closing = self.next()
             if closing is None or closing.kind != "RPAREN":
                 raise UnbalancedParenError("unclosed '('", tok.pos)

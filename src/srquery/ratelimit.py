@@ -74,7 +74,8 @@ def request_json(url: str, *, timeout: float, payload=None, headers: Optional[di
     ``backoff * 2**(n-1)`` before try n+1, or the response's delay-seconds
     ``Retry-After`` (an HTTP-date or a malformed value falls back to the
     backoff).  A ``Retry-After`` longer than ``timeout``, any other status,
-    a connection failure or a timeout raises ``HttpError`` at once."""
+    a body that is not JSON, a connection failure or a timeout raises
+    ``HttpError`` at once."""
     request = urllib.request.Request(url, headers=headers or {})
     if payload is not None:
         request.data = json.dumps(payload).encode("utf-8")
@@ -88,7 +89,11 @@ def request_json(url: str, *, timeout: float, payload=None, headers: Optional[di
         try:
             try:
                 with urllib.request.urlopen(request, timeout=timeout) as resp:
-                    return json.loads(resp.read())
+                    status, body = resp.status, resp.read()
+                try:
+                    return json.loads(body)
+                except ValueError:
+                    raise HttpError(status, f"body is not JSON: {body[:80]!r}") from None
             except urllib.error.HTTPError as e:
                 with e:
                     status, detail = e.code, e.read(200).decode("utf-8", "replace")

@@ -107,6 +107,11 @@ MESH_ROWS = [
 PUB_TYPES = ["Journal Article", "Review", "Meta-Analysis", "Comparative Study"]
 
 
+def mesh_names(vocab: MeshVocab) -> list[str]:
+    """The descriptor names of a vocabulary, in its order."""
+    return [d.name for d in vocab.descriptors.values()]
+
+
 def fixture_vocab() -> MeshVocab:
     return MeshVocab({
         name.lower(): MeshDescriptor(name=name, ui=ui, tree_numbers=trees)
@@ -185,7 +190,7 @@ def _hard_text(rng: random.Random, max_tokens: int) -> str:
 def random_hard_corpus(rng: random.Random, vocab: MeshVocab, max_docs: int = 60) -> Corpus:
     """Titles and abstracts over HARD_TOKENS, often shorter than a phrase;
     MeSH tags from the tree plus one name the vocabulary lacks."""
-    names = vocab.names() + ["Unlisted Ab"]
+    names = mesh_names(vocab) + ["Unlisted Ab"]
     docs = {}
     for i in range(rng.randint(1, max_docs)):
         pmid = str(20_000 + i)
@@ -203,7 +208,7 @@ def random_hard_term(rng: random.Random, vocab: MeshVocab) -> Term:
     """Phrases of 2-5 tokens (some one token repeated, some truncated at
     the end), all-fields phrases across two MeSH names, and truncated or
     exploded MeSH and publication-type terms."""
-    names = vocab.names()
+    names = mesh_names(vocab)
     shape = rng.choice(["phrase", "repeat", "straddle", "mesh", "pt"])
     if shape in ("phrase", "repeat"):
         k = rng.randint(2, 5)

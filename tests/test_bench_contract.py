@@ -8,6 +8,7 @@ import inspect
 import json
 import sys
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -25,6 +26,7 @@ import srquery.prompts as pr  # noqa: E402
 import srquery.ratelimit as ratelimit  # noqa: E402
 import srquery.retrieval as rt  # noqa: E402
 import srquery.runlog as rl  # noqa: E402
+from test_entrez import _EsearchStub, esearch_stub  # noqa: E402, F401 (a fixture)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "collection"
 GUIDED_ANSWERS = json.loads(
@@ -112,6 +114,46 @@ def test_tracer_sees_every_generation_call_path(tmp_path):
     ok = sum(r.status == "ok" for r in records)
     assert ok > 0
     assert tracer.counts["gateway.generate.ok"] == ok
+
+
+def test_tracer_sees_every_execution_call_path(tmp_path, esearch_stub):
+    # Through the stage runner, execute and evaluate must reach the local
+    # engine, the scorer and the result cache by the names the tracer
+    # rebinds; on the entrez backend, one search and one cache.store per
+    # cache miss.
+    def config(execution_backend):
+        return pl.AppConfig(
+            topics=str(FIXTURES / "topics.jsonl"), qrels=str(FIXTURES / "qrels.txt"),
+            corpus=str(FIXTURES / "corpus.jsonl"), mesh=str(FIXTURES / "mesh.tsv"),
+            runlog=str(tmp_path / execution_backend / "runlog.jsonl"),
+            cache_dir=str(tmp_path / execution_backend / "cache"),
+            report_dir=str(tmp_path / "reports"), execution_backend=execution_backend,
+            entrez=ez.EntrezConfig(base_url=esearch_stub, api_key="test-key", rate_limit=10.0),
+        )
+
+    _EsearchStub.count = 4
+    runs = {}
+    for backend in ("local", "entrez"):
+        cfg = config(backend)
+        pl.cmd_ingest(cfg)
+        tracer = Tracer()
+        tracer.install((pl, gw, ez, colls, rt, rl, pr, ratelimit))
+        try:
+            executed = pl.cmd_execute(cfg)
+            evaluated = pl.cmd_evaluate(cfg) if backend == "local" else []
+        finally:
+            tracer.uninstall()
+        assert [r.status for r in executed] == ["ok"] * 3
+        runs[backend] = Counter(span.name for span in tracer.spans), evaluated
+
+    calls, evaluated = runs["local"]
+    assert [r.status for r in evaluated] == ["ok"] * 3
+    assert calls["retrieval.execute_local"] == calls["metrics.evaluate_topic"] == 3
+    assert calls["cache.store"] == 3
+    assert calls["cache.load"] == 3 + 3  # one lookup per execution, one read per evaluation
+    calls, _ = runs["entrez"]
+    assert calls["entrez.search"] == calls["cache.store"] == calls["cache.load"] == 3
+    assert calls["retrieval.execute_local"] == 0
 
 
 class _OverloadedOnce(BaseHTTPRequestHandler):

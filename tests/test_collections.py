@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randgen import mesh_names
 from srquery.collections import (
     DuplicateJudgmentError,
     DuplicateTopicError,
@@ -14,8 +15,6 @@ from srquery.collections import (
     load_mesh,
     load_qrels,
     load_topics,
-    write_qrels,
-    write_topics,
 )
 
 
@@ -68,16 +67,9 @@ def test_load_topics_missing_title(tmp_path):
 def test_seed_topics_carry_studies(seed_topics):
     by_id = {t.topic_id: t for t in seed_topics}
     assert by_id["SR100"].seed_studies[0].pmid == "1012"
-    assert by_id["SR100"].seed_studies[0].has_abstract
+    assert by_id["SR100"].seed_studies[0].abstract.strip()
     assert by_id["SR102"].seed_studies == ()
     assert by_id["SR100"].collection_tag == "SEED"
-
-
-def test_topics_round_trip(tmp_path, topics, seed_topics):
-    path = tmp_path / "round.jsonl"
-    write_topics(topics + seed_topics, path)
-    again = load_topics(path)
-    assert again == topics + seed_topics
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +141,6 @@ def test_qrels_lookups_hand_out_fresh_sets():
     qrels.relevant_for("CD1").add("99")
     qrels.judged_for("CD1").add("99")
     assert qrels.relevant_for("CD1") == qrels.judged_for("CD1") == {"10"}
-
-
-def test_qrels_round_trip(tmp_path, qrels):
-    path = tmp_path / "qrels.txt"
-    write_qrels(qrels, path)
-    assert load_qrels(path) == qrels
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +225,7 @@ def test_load_mesh_zero_tree_numbers(tmp_path):
 
 
 def test_case_insensitive_lookup_property(vocab):
-    for name in vocab.names():
+    for name in mesh_names(vocab):
         assert vocab.lookup(name) == vocab.lookup(name.lower())
         assert vocab.lookup(name) == vocab.lookup(name.upper())
 
@@ -262,19 +248,3 @@ def test_load_corpus_null_abstract_becomes_empty(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"pmid":"1","title":"ok","abstract":null}\n')
     assert load_corpus(path).get("1").abstract == ""
-
-
-def test_corpus_round_trip(tmp_path, corpus):
-    from srquery.collections import write_corpus
-
-    path = tmp_path / "corpus.jsonl"
-    write_corpus(corpus, path)
-    assert load_corpus(path) == corpus
-
-
-def test_mesh_round_trip(tmp_path, vocab):
-    from srquery.collections import write_mesh
-
-    path = tmp_path / "mesh.tsv"
-    write_mesh(vocab, path)
-    assert load_mesh(path) == vocab

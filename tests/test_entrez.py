@@ -24,13 +24,15 @@ from srquery.ratelimit import request_json
 
 class _EsearchStub(BaseHTTPRequestHandler):
     # Configured per test: total result count, optional error payload, a
-    # status served on every request, a status served once, and the
-    # Retry-After header sent with an error status.
+    # status served on every request, a status served once, the
+    # Retry-After header sent with an error status, and a 200 body served
+    # verbatim in place of the search result.
     count = 0
     error = None
     status = 200
     fail_once = None
     retry_after = None
+    raw_body = None
     requests_seen = []
 
     def do_GET(self):
@@ -55,7 +57,7 @@ class _EsearchStub(BaseHTTPRequestHandler):
                 "idlist": ids,
                 "querytranslation": params["term"][0],
             }
-        payload = json.dumps({"esearchresult": result}).encode()
+        payload = self.raw_body or json.dumps({"esearchresult": result}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -76,8 +78,10 @@ def esearch_stub():
     _EsearchStub.status = 200
     _EsearchStub.fail_once = None
     _EsearchStub.retry_after = None
+    _EsearchStub.raw_body = None
     _EsearchStub.requests_seen = []
     yield f"http://127.0.0.1:{server.server_port}"
+    _EsearchStub.raw_body = None  # some callers configure the stub by hand
     server.shutdown()
     server.server_close()
 
@@ -85,13 +89,8 @@ def esearch_stub():
 QUERY = parse('("heart attack"[tiab] OR infarct*[Title]) AND trial[pt]')
 
 
-def cfg_for(stub, tmp_path=None, retmax=10_000, rate=3.0):
-    return EntrezConfig(
-        base_url=stub,
-        retmax=retmax,
-        rate_limit=rate,
-        cache_dir=str(tmp_path) if tmp_path else None,
-    )
+def cfg_for(stub, retmax=10_000, rate=3.0):
+    return EntrezConfig(base_url=stub, retmax=retmax, rate_limit=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +162,6 @@ def test_concurrent_stores_of_one_digest(tmp_path):
         sys.setswitchinterval(interval)
     assert load_cached_result(tmp_path, digest) in [[str(i)] for i in range(writers)]
     assert list(tmp_path.glob("*.tmp")) == []
-
-
-def test_warm_cache_makes_zero_requests(esearch_stub, tmp_path):
-    _EsearchStub.count = 5
-    cfg = cfg_for(esearch_stub, tmp_path)
-    first = entrez_search(QUERY, cfg, limiter=RateLimiter(10_000))
-    assert len(_EsearchStub.requests_seen) == 1
-    second = entrez_search(QUERY, cfg, limiter=RateLimiter(10_000))
-    assert second == first
-    assert len(_EsearchStub.requests_seen) == 1  # no new traffic
 
 
 # ---------------------------------------------------------------------------

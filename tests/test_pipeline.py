@@ -1,15 +1,18 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-from srquery import cli, pipeline, prompts
+from srquery import cli, entrez, pipeline, prompts
 from srquery.collections import MalformedLineError
+from srquery.entrez import EntrezConfig, query_digest
 from srquery.gateway import BackendConfig, Conversation, MockBackend, conversation_digest
 from srquery.pipeline import (
     AppConfig,
@@ -26,8 +29,9 @@ from srquery.pipeline import (
 )
 from srquery.prompts import MissingFixtureError, PromptBindings, hqe_example, render
 from srquery.query_ast import parse
-from srquery.retrieval import build_index
+from srquery.retrieval import UnknownDescriptorError, build_index
 from srquery.runlog import RunRecord, append_records, check_integrity, read_records
+from test_entrez import _EsearchStub, esearch_stub  # noqa: F401 (a fixture)
 
 FIXTURES = Path(__file__).parent / "fixtures" / "collection"
 GUIDED_ANSWERS = json.loads(
@@ -460,6 +464,169 @@ def test_execute_records_esearch_timeouts(tmp_path, stalling_server):
     assert all(r.status == "error" and "timed out" in r.error for r in records)
 
 
+# ---------------------------------------------------------------------------
+# the one cache path: execute owns the result cache on every backend
+# ---------------------------------------------------------------------------
+
+def entrez_config(tmp_path: Path, stub: str) -> AppConfig:
+    cfg = make_config(tmp_path)
+    cfg.execution_backend = "entrez"
+    cfg.entrez = EntrezConfig(base_url=stub, api_key="test-key", rate_limit=10.0)
+    return cfg
+
+
+def test_warm_cache_makes_zero_requests(tmp_path, esearch_stub):
+    _EsearchStub.count = 5
+    first = entrez_config(tmp_path, esearch_stub)
+    cmd_ingest(first)
+    assert [r.retrieved_count for r in cmd_execute(first)] == [5] * 3
+    assert len(_EsearchStub.requests_seen) == 3
+    # A second run log over the same cache sends Entrez nothing.
+    second = entrez_config(tmp_path, esearch_stub)
+    second.runlog = str(tmp_path / "second" / "runlog.jsonl")
+    cmd_ingest(second)
+    assert [r.retrieved_count for r in cmd_execute(second)] == [5] * 3
+    assert len(_EsearchStub.requests_seen) == 3
+
+
+def test_entrez_execute_then_evaluate_scores_every_run(tmp_path, esearch_stub):
+    _EsearchStub.count = 1100  # the stub answers pmids "0" to "1099"
+    cfg = entrez_config(tmp_path, esearch_stub)
+    cmd_ingest(cfg)
+    assert [r.status for r in cmd_execute(cfg)] == ["ok"] * 3
+    evaluated = cmd_evaluate(cfg)
+    assert [r.status for r in evaluated] == ["ok"] * 3
+    assert all(r.metrics["retrieved_count"] == 1100 for r in evaluated)
+
+
+def test_config_rejects_an_entrez_cache_dir(tmp_path):
+    path = write_cli_config(tmp_path)
+    config = json.loads(path.read_text())
+    config["execution_backend"] = "entrez"
+    config["entrez"] = {"cache_dir": str(tmp_path / "elsewhere")}
+    path.write_text(json.dumps(config))
+    with pytest.raises(UsageError, match="cache_dir"):
+        AppConfig.from_file(path)
+
+
+@pytest.mark.parametrize("body, error", [
+    (b"<html>busy</html>", "HTTP 200: body is not JSON"),
+    (b"[1, 2]", "malformed esearch response"),
+    (b'{"esearchresult": ["count"]}', "malformed esearch response"),
+    (b'{"esearchresult": {"count": "many", "idlist": []}}', "malformed esearch result"),
+    (b'{"esearchresult": {"count": null, "idlist": []}}', "malformed esearch result"),
+    (b'{"esearchresult": {"count": "2", "idlist": 7}}', "malformed esearch result"),
+], ids=["not-json", "not-an-object", "result-not-an-object", "count-not-a-number",
+        "count-null", "idlist-not-a-list"])
+def test_execute_records_a_malformed_esearch_body(tmp_path, esearch_stub, body, error):
+    _EsearchStub.raw_body = body
+    cfg = entrez_config(tmp_path, esearch_stub)
+    gen = logged_generation(cfg)
+    records = cmd_execute(cfg)
+    assert [(r.run_id, r.status) for r in records] == [(f"exec:entrez:{gen.run_id}", "error")]
+    assert records[0].error.startswith(error), records[0].error
+    assert read_records(cfg.runlog) == [gen, *records]
+
+
+# ---------------------------------------------------------------------------
+# the one error policy: the exact record of each outcome
+# ---------------------------------------------------------------------------
+
+def logged_generation(cfg: AppConfig, topic_id="CD900001",
+                      query="(thyroid[tiab] AND screening[tiab])") -> RunRecord:
+    record = RunRecord(run_id=f"gen:q1:none:-:{topic_id}:r0", stage="generate",
+                       topic_id=topic_id, prompt_id="q1", backend="mock:scripted",
+                       query=query, query_digest=query_digest(query))
+    append_records(cfg.runlog, [record])
+    return record
+
+
+def execution_of(gen: RunRecord, **fields) -> RunRecord:
+    return RunRecord(run_id=f"exec:local:{gen.run_id}", stage="execute", topic_id=gen.topic_id,
+                     prompt_id=gen.prompt_id, backend="local", parent_run_id=gen.run_id,
+                     **fields)
+
+
+def evaluation_of(ex: RunRecord, **fields) -> RunRecord:
+    return RunRecord(run_id=f"eval:{ex.run_id}", stage="evaluate", topic_id=ex.topic_id,
+                     prompt_id=ex.prompt_id, query_digest=ex.query_digest,
+                     retrieved_count=ex.retrieved_count, parent_run_id=ex.run_id, **fields)
+
+
+@pytest.mark.parametrize("query, error", [
+    ("a”b", "'”' without matching '“' (at position 1)"),
+    ("(" * 1000 + "a" + ")" * 1000, "query nests deeper than 100 levels (at position 100)"),
+], ids=["unbalanced-quote", "nested-1000-deep"])
+def test_ingest_records_an_unparsable_original_query(tmp_path, query, error):
+    topics = tmp_path / "topics.jsonl"
+    topics.write_text(json.dumps({"topic_id": "T1", "title": "A review",
+                                  "original_query": query}) + "\n")
+    cfg = make_config(tmp_path)
+    cfg.topics = str(topics)
+    assert cmd_ingest(cfg)["original_records_added"] == 1
+    assert read_records(cfg.runlog) == [RunRecord(
+        run_id="gen:original:none:-:T1:r0", stage="generate", topic_id="T1",
+        prompt_id="original", status="error", error=error)]
+
+
+def test_formulate_records_answers_nested_too_deep_per_topic(tmp_path):
+    deep = "(" * 1000 + "thyroid[tiab]" + ")" * 1000
+    records = cmd_formulate(make_config(tmp_path), "q1", backend=MockBackend(script=[deep] * 12))
+    assert [(r.topic_id, r.status) for r in records] == [
+        (topic_id, "error") for topic_id in ("CD900001", "CD900002", "CD900003")]
+    assert all(r.error.startswith("no valid query after 4 attempts") for r in records)
+
+
+def test_execute_records_an_unknown_descriptor(tmp_path, monkeypatch):
+    def unknown_descriptor(index, query):
+        raise UnknownDescriptorError("Made Up Descriptor")
+    monkeypatch.setattr(pipeline, "execute_local", unknown_descriptor)
+    cfg = make_config(tmp_path)
+    gen = logged_generation(cfg)
+    assert cmd_execute(cfg) == [execution_of(gen, status="error", error="'Made Up Descriptor'")]
+
+
+def test_execute_records_a_failed_cache_write(tmp_path, monkeypatch):
+    def disk_full(cache_dir, digest, pmids):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(entrez, "store_result", disk_full)
+    cfg = make_config(tmp_path)
+    gen = logged_generation(cfg)
+    assert cmd_execute(cfg) == [
+        execution_of(gen, status="error", error="[Errno 28] No space left on device")]
+
+
+def test_a_programming_error_in_execute_propagates_and_records_nothing(tmp_path, monkeypatch):
+    def broken(index, query):
+        raise TypeError("unhashable type: 'list'")
+    monkeypatch.setattr(pipeline, "execute_local", broken)
+    cfg = make_config(tmp_path)
+    gen = logged_generation(cfg)
+    with pytest.raises(TypeError, match="unhashable"):
+        cmd_execute(cfg)
+    assert read_records(cfg.runlog) == [gen]
+
+
+def test_evaluate_records_a_missing_cache_entry(tmp_path):
+    cfg = make_config(tmp_path)
+    gen = logged_generation(cfg)
+    [ex] = cmd_execute(cfg)
+    assert ex == execution_of(gen, query=gen.query, query_digest=gen.query_digest,
+                              retrieved_count=ex.retrieved_count)
+    for path in Path(cfg.cache_dir).glob("*.json"):
+        path.unlink()
+    assert cmd_evaluate(cfg) == [
+        evaluation_of(ex, status="error", error="no cached result for query digest")]
+
+
+def test_evaluate_records_an_unjudged_topic_as_skipped(tmp_path):
+    cfg = make_config(tmp_path)
+    logged_generation(cfg, topic_id="CD999999")
+    [ex] = cmd_execute(cfg)
+    assert cmd_evaluate(cfg) == [evaluation_of(
+        ex, status="skipped", error="topic CD999999 has no relevant judgments")]
+
+
 def test_import_pulls_in_no_third_party_library():
     code = ("import sys, srquery.pipeline, srquery.cli; "
             "print(sorted({'numpy', 'requests', 'urllib3'} & set(sys.modules)))")
@@ -563,6 +730,86 @@ def test_pipeline_is_deterministic_end_to_end(tmp_path):
     report_b = (tmp_path / "b" / "reports" / "report.csv").read_bytes()
     assert report_a == report_b
     assert strip_timestamps(Path(cfg_a.runlog)) == strip_timestamps(Path(cfg_b.runlog))
+
+
+def run_fixture_grid(tmp_path: Path) -> AppConfig:
+    """Every stage over the fixture collection, two runs per topic, with
+    scripted answers that reach each record outcome: ok, generation error,
+    execute error (an unparsable query), evaluate skipped (an unjudged
+    topic) and guided error (a topic without seed studies)."""
+    cfg = make_config(tmp_path)
+    cfg.runs_per_topic = 2
+    cmd_ingest(cfg)
+
+    def script(*answers):
+        return MockBackend(script=list(answers))
+    cmd_formulate(cfg, "q1", backend=script(
+        "(thyroid[tiab] AND screening[tiab])", "(thyroid[tiab] OR cancer[tiab])",
+        "(liver[tiab] AND fibrosis[tiab])", "(liver[tiab] OR ultrasound[tiab])",
+        "(influenza[tiab] AND rapid[tiab])", "(influenza[tiab] OR test*[tiab])"))
+    cmd_formulate(cfg, "q2", backend=script(
+        "(\"Thyroid Neoplasms\"[MeSH] AND autopsy[tiab])", *["no query here"] * 4,
+        "(Liver[MeSH] AND elastography[tiab])", "(Liver Cirrhosis[mesh:noexp])",
+        "(Influenza, Human[MeSH] OR flu[tiab])", "(Unknown Thing[MeSH] OR children[tiab])"))
+    cmd_formulate(cfg, "q3", backend=script(
+        "Sure: (thyroid[ti] AND nodule*[tiab])", "(thyroid[tiab] NOT cancer[tiab])",
+        "(liver[tiab] AND hepatitis[tiab])", "(elastography[tiab])",
+        "(influenza[tiab] AND (rapid[tiab] OR point of care[tiab]))", "(vaccination[tiab])"))
+    cmd_formulate(cfg, "q4", "hqe")
+    cmd_formulate(cfg, "q5", "re", backend=script(*[
+        f"(related{i}[tiab] AND screening[tiab])" for i in range(6)]))
+    cmd_refine(cfg, "q6", "original", backend=script(*[
+        f"(refined{i}[tiab] OR thyroid[tiab] OR liver[tiab])" for i in range(6)]))
+    cmd_refine(cfg, "q7", "q4-runlog", example_mode="re", backend=script(*[
+        f"(narrowed{i}[tiab] OR influenza[tiab])" for i in range(6)]))
+    seeded = make_config(tmp_path, topics_file="seed_topics.jsonl")
+    seeded.runs_per_topic = 2
+    cmd_guided(seeded, backend=script(*guided_script() * 6))
+    append_records(cfg.runlog, [
+        RunRecord(run_id="gen:q1:none:-:CD900001:r9", stage="generate", topic_id="CD900001",
+                  prompt_id="q1", run_index=9, query="a”b"),
+        RunRecord(run_id="gen:q1:none:-:CD999999:r0", stage="generate", topic_id="CD999999",
+                  prompt_id="q1", query="thyroid[tiab]"),
+    ])
+    cmd_execute(cfg)
+    cmd_evaluate(cfg)
+    cmd_analyze(cfg)
+    cmd_report(cfg)
+    return cfg
+
+
+def test_fixture_grid_output_bytes_are_pinned(tmp_path):
+    # c08 compares two runs of the same code, so a change that alters every
+    # record alike passes it; these digests pin the bytes themselves.  The
+    # checkout path (in the mock backend label) and the report directory
+    # (in analysis_report.json) are replaced, so the digests hold anywhere.
+    cfg = run_fixture_grid(tmp_path)
+    checkout = str(Path(__file__).resolve().parents[1])
+    reports = Path(cfg.report_dir)
+
+    def digest(text: str) -> str:
+        text = text.replace(str(tmp_path), "<tmp>").replace(checkout, "<checkout>")
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    statuses = Counter(f"{r.stage}.{r.status}" for r in read_records(cfg.runlog))
+    assert statuses == GRID_STATUSES
+    assert {
+        "runlog": digest(strip_timestamps(Path(cfg.runlog))),
+        "report.csv": digest((reports / "report.csv").read_text()),
+        "per_topic.csv": digest((reports / "per_topic.csv").read_text()),
+        "analysis_report.json": digest((reports / "analysis_report.json").read_text()),
+    } == GRID_DIGESTS
+
+
+GRID_STATUSES = {
+    "generate.ok": 52, "generate.error": 2, "execute.ok": 51, "execute.error": 1,
+    "evaluate.ok": 50, "evaluate.skipped": 1,
+}
+GRID_DIGESTS = {
+    "runlog": "96b86f07b73b4064fc78e993981e056f5080a99f80997c30167e17ce73daa5f2",
+    "report.csv": "8c1ac60bb85fd436c838dd0e42cfc126016414a9ffe4babfb51ed1aa8521244a",
+    "per_topic.csv": "3947193d5f59a42e0cbe98043ae7a0ea07de501bf2cd0e61b6f9432defc2d8a8",
+    "analysis_report.json": "9e6920c2d1072cb61f61361c26dc10cd411c1cf955b4035d02608c4bbe347740",
+}
 
 
 def test_parallel_formulate_matches_serial(tmp_path):

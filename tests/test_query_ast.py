@@ -12,6 +12,8 @@ from srquery.query_ast import (
     EmptyQueryError,
     FieldKind,
     FieldTag,
+    MAX_NESTING,
+    NestingTooDeepError,
     Op,
     Operator,
     Query,
@@ -130,6 +132,21 @@ def test_parse_error_type_message_and_position(text, error, message, pos):
     assert type(exc.value) is error
     assert str(exc.value) == message
     assert exc.value.pos == pos
+
+
+def test_parse_caps_the_nesting_depth():
+    # Past the cap, a parse error with its position rather than a
+    # RecursionError, so one such model answer fails only its own cell.
+    with pytest.raises(NestingTooDeepError) as exc:
+        parse("(" * 1000 + "a" + ")" * 1000)
+    assert str(exc.value) == "query nests deeper than 100 levels (at position 100)"
+    assert exc.value.pos == 100
+    # The cap itself still parses, reached by parentheses or by a NOT chain.
+    assert parse("(" * MAX_NESTING + "a" + ")" * MAX_NESTING).root == Term("a")
+    chain = " NOT ".join(["a"] * (MAX_NESTING + 1))
+    assert serialize(parse(chain)).count("NOT") == MAX_NESTING
+    with pytest.raises(NestingTooDeepError):
+        parse(chain + " NOT a")
 
 
 def test_parse_tab_splits_a_word_but_vertical_tab_does_not():

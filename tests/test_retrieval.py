@@ -11,6 +11,7 @@ from randgen import (
     HARD_TOKENS,
     WORDS,
     fixture_vocab,
+    mesh_names,
     random_corpus,
     random_hard_corpus,
     random_hard_query,
@@ -171,7 +172,7 @@ DOT_BOUNDARY_VOCAB = MeshVocab({
 def test_exploded_lookup_equals_explode_mesh(vocab):
     vocabs = [vocab, fixture_vocab(), random_tree_vocab(random.Random(616161)), DOT_BOUNDARY_VOCAB]
     for v in vocabs:
-        names = v.names()
+        names = mesh_names(v)
         # One document per descriptor: an exploded query must return exactly
         # the documents of the names explode_mesh lists.
         idx = build_index(Corpus({
