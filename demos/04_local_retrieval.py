@@ -38,4 +38,5 @@ for text in queries:
 
 # The explosion itself: every descriptor whose tree number extends C04.
 print(f"\nexplode(Neoplasms) = {sorted(explode_mesh(vocab, 'Neoplasms'))}")
-print(f"index digest: {idx.digest()[:16]}... (stable across rebuilds)")
+counts = ", ".join(f"{field} {len(keys)}" for field, keys in idx.sorted_keys.items())
+print(f"keys per field: {counts}")

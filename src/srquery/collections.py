@@ -4,12 +4,16 @@ MeSH vocabulary.
 Canonical on-disk formats:
 
 * ``topics.jsonl`` — one JSON object per line:
-  ``{"topic_id", "title", "original_query"?, "collection": "CLEF"|"SEED",
+  ``{"topic_id", "title", "original_query"?,
   "seed_studies": [{"pmid", "title", "abstract"}]?}``
 * ``qrels.txt`` — TREC format, whitespace separated: ``topic 0 pmid rel``
 * ``corpus.jsonl`` — ``{"pmid", "title", "abstract", "mesh": [...],
   "pub_types": [...]}``
 * ``mesh.tsv`` — ``ui<TAB>name<TAB>tree;tree``
+
+The JSONL files, and the pipeline's seed-query files, are read by
+:func:`iter_jsonl`, which names the file and line of a line that is not a
+JSON object.
 
 All loaded structures are immutable after construction and safe to share
 across threads.
@@ -23,7 +27,6 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 __all__ = [
-    "CollectionTag",
     "SeedStudy",
     "ReviewTopic",
     "Qrels",
@@ -37,19 +40,13 @@ __all__ = [
     "DuplicateJudgmentError",
     "NegativeGradeError",
     "MissingFieldError",
+    "iter_jsonl",
     "load_topics",
     "load_qrels",
     "iter_corpus",
     "load_corpus",
     "load_mesh",
 ]
-
-# Collection tags; CLEF topics carry expert queries, SEED topics carry seed
-# studies for the guided pipeline.
-CLEF = "CLEF"
-SEED = "SEED"
-CollectionTag = str
-
 
 class CollectionError(ValueError):
     pass
@@ -99,7 +96,6 @@ class ReviewTopic:
     topic_id: str
     title: str
     original_query: Optional[str] = None
-    collection_tag: CollectionTag = CLEF
     seed_studies: tuple[SeedStudy, ...] = ()
 
     def __post_init__(self) -> None:
@@ -182,32 +178,13 @@ class MeshVocab:
 
 
 # ---------------------------------------------------------------------------
-# Topics
+# JSON lines: topics, corpus and seed-query files
 # ---------------------------------------------------------------------------
 
-def _parse_seed_studies(raw, path, line_no) -> tuple[SeedStudy, ...]:
-    studies = []
-    for entry in raw or []:
-        if "pmid" not in entry:
-            raise MalformedLineError(path, line_no, "seed study missing pmid")
-        studies.append(
-            SeedStudy(
-                pmid=str(entry["pmid"]),
-                title=entry.get("title", ""),
-                abstract=entry.get("abstract", ""),
-            )
-        )
-    return tuple(studies)
-
-
-def load_topics(path, tag: CollectionTag = CLEF) -> list[ReviewTopic]:
-    """Load review topics from a JSONL file, in file order.
-
-    ``tag`` is the default collection tag; a per-line ``"collection"`` field
-    overrides it.  Duplicate topic_ids within one file are an error.
-    """
-    topics: list[ReviewTopic] = []
-    seen: set[str] = set()
+def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL
+    file, in file order.  A line that is not a JSON object raises
+    :class:`MalformedLineError` when it is reached."""
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
@@ -216,23 +193,50 @@ def load_topics(path, tag: CollectionTag = CLEF) -> list[ReviewTopic]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise MalformedLineError(path, line_no, f"invalid JSON: {e}") from e
-            if not isinstance(obj, dict) or "topic_id" not in obj or "title" not in obj:
-                raise MalformedLineError(path, line_no, "topic_id and title are required")
-            if not isinstance(obj["title"], str) or not obj["title"].strip():
-                raise MalformedLineError(path, line_no, "title must be a non-empty string")
-            topic_id = str(obj["topic_id"])
-            if topic_id in seen:
-                raise DuplicateTopicError(topic_id)
-            seen.add(topic_id)
-            topics.append(
-                ReviewTopic(
-                    topic_id=topic_id,
-                    title=obj["title"],
-                    original_query=obj.get("original_query"),
-                    collection_tag=obj.get("collection", tag),
-                    seed_studies=_parse_seed_studies(obj.get("seed_studies"), path, line_no),
-                )
+            if not isinstance(obj, dict):
+                raise MalformedLineError(path, line_no, "not a JSON object")
+            yield line_no, obj
+
+
+# ---------------------------------------------------------------------------
+# Topics
+# ---------------------------------------------------------------------------
+
+def _parse_seed_studies(raw, path, line_no) -> tuple[SeedStudy, ...]:
+    raw = raw or []
+    if not isinstance(raw, list) or not all(isinstance(e, dict) and "pmid" in e for e in raw):
+        raise MalformedLineError(path, line_no, "seed_studies must be objects with a pmid")
+    return tuple(
+        SeedStudy(pmid=str(e["pmid"]), title=e.get("title", ""), abstract=e.get("abstract", ""))
+        for e in raw
+    )
+
+
+def load_topics(path) -> list[ReviewTopic]:
+    """Load review topics from a JSONL file, in file order.  Duplicate
+    topic_ids within one file are an error."""
+    topics: list[ReviewTopic] = []
+    seen: set[str] = set()
+    for line_no, obj in iter_jsonl(path):
+        if "topic_id" not in obj or "title" not in obj:
+            raise MalformedLineError(path, line_no, "topic_id and title are required")
+        if not isinstance(obj["title"], str) or not obj["title"].strip():
+            raise MalformedLineError(path, line_no, "title must be a non-empty string")
+        original_query = obj.get("original_query")
+        if original_query is not None and not isinstance(original_query, str):
+            raise MalformedLineError(path, line_no, "original_query must be a string")
+        topic_id = str(obj["topic_id"])
+        if topic_id in seen:
+            raise DuplicateTopicError(topic_id)
+        seen.add(topic_id)
+        topics.append(
+            ReviewTopic(
+                topic_id=topic_id,
+                title=obj["title"],
+                original_query=original_query,
+                seed_studies=_parse_seed_studies(obj.get("seed_studies"), path, line_no),
             )
+        )
     return topics
 
 
@@ -279,30 +283,23 @@ def iter_corpus(path) -> Iterator[CorpusDoc]:
     """Yield the documents of a corpus JSONL file in file order, one line at
     a time.  A bad line or a repeated pmid raises when it is reached."""
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise MalformedLineError(path, line_no, f"invalid JSON: {e}") from e
-            for required in ("pmid", "title"):
-                if required not in obj:
-                    raise MissingFieldError(f"{path}:{line_no}: missing {required!r}")
-            if not isinstance(obj["title"], str):
-                raise MalformedLineError(path, line_no, "title must be a string")
-            pmid = str(obj["pmid"])
-            if pmid in seen:
-                raise MalformedLineError(path, line_no, f"duplicate pmid {pmid!r}")
-            seen.add(pmid)
-            yield CorpusDoc(
-                pmid=pmid,
-                title=obj["title"],
-                abstract=str(obj.get("abstract") or ""),
-                mesh_terms=tuple(str(m) for m in obj.get("mesh", [])),
-                pub_types=tuple(str(p) for p in obj.get("pub_types", [])),
-            )
+    for line_no, obj in iter_jsonl(path):
+        for required in ("pmid", "title"):
+            if required not in obj:
+                raise MissingFieldError(f"{path}:{line_no}: missing {required!r}")
+        if not isinstance(obj["title"], str):
+            raise MalformedLineError(path, line_no, "title must be a string")
+        pmid = str(obj["pmid"])
+        if pmid in seen:
+            raise MalformedLineError(path, line_no, f"duplicate pmid {pmid!r}")
+        seen.add(pmid)
+        yield CorpusDoc(
+            pmid=pmid,
+            title=obj["title"],
+            abstract=str(obj.get("abstract") or ""),
+            mesh_terms=tuple(str(m) for m in obj.get("mesh", [])),
+            pub_types=tuple(str(p) for p in obj.get("pub_types", [])),
+        )
 
 
 def load_corpus(path) -> Corpus:

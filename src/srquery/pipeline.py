@@ -16,7 +16,6 @@ propagates.  Only the execute stage writes the result cache.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
@@ -174,10 +173,6 @@ def _method_label(prompt_id: str, example_mode: str, seed_source: str) -> str:
     return prompt_id
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 # The failures a cell records as its outcome.  Anything else raised by a
 # cell is a programming error and propagates.
 RECORDED_ERRORS = (
@@ -299,7 +294,7 @@ def _generate(cfg: AppConfig, topics: list[colls.ReviewTopic], prompt_id: str,
         outcome = make()
         canonical = serialize(outcome.query)
         return dict(attempt=outcome.attempts,
-                    raw_response_digest=_sha(outcome.raw_responses[-1]),
+                    raw_response_digest=ez.query_digest(outcome.raw_responses[-1]),
                     query=canonical, query_digest=ez.query_digest(canonical))
     groups = [
         [(dict(run_id=run_id, stage="generate", topic_id=topic.topic_id, prompt_id=prompt_id,
@@ -384,11 +379,10 @@ def _seed_queries(cfg: AppConfig, seed_source: str, topics: list[colls.ReviewTop
             f"seed source {seed_source!r} needs a query file under seed_query_files"
         )
     queries = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                obj = json.loads(line)
-                queries[str(obj["topic_id"])] = obj["query"]
+    for line_no, obj in colls.iter_jsonl(path):
+        if "topic_id" not in obj or not isinstance(obj.get("query"), str):
+            raise colls.MalformedLineError(path, line_no, "needs topic_id and a string query")
+        queries[str(obj["topic_id"])] = obj["query"]
     return queries
 
 

@@ -44,7 +44,7 @@ TEMPLATE_IDS = (
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
 
-class MissingBindingError(KeyError):
+class MissingBindingError(LookupError):
     pass
 
 
@@ -56,7 +56,7 @@ class MissingFixtureError(FileNotFoundError):
     pass
 
 
-class UnknownTemplateError(KeyError):
+class UnknownTemplateError(LookupError):
     pass
 
 

@@ -16,13 +16,14 @@ Tokenization is lowercase, split on non-alphanumerics, digits kept, no
 stemming.  PubMed's proprietary term normalization is intentionally not
 emulated.
 
-The index (:func:`build_index`, :func:`execute_local` and the ``_index_*``
-helpers) answers every term without scanning its vocabulary:
+The index (:func:`build_index`, :func:`execute_local`, ``_lookup`` and the
+``_index_*`` helpers) answers every term without scanning its vocabulary:
 
-* postings are lists that name each pmid once per key; lookups copy them
-  into fresh sets;
-* single tokens, MeSH names and publication types are postings lookups;
-* a ``*`` term is a bisect range over the sorted keys of its postings;
+* one ``postings`` table maps each field to its keys and each key to a list
+  that names each pmid once: title, abstract and MeSH-name tokens,
+  lowercased descriptor names and lowercased publication types;
+* every single key, exact or ``*``, is read through ``_lookup``: a dict
+  probe, or a bisect range over the field's sorted keys;
 * an exploded MeSH term reads a sorted (tree number, name) table: its
   roots exactly, then each range ``[root + ".", root + "/")``, which holds
   the tree numbers that extend the root at a dot boundary;
@@ -49,8 +50,6 @@ matching code with the index, so it stays an independent specification.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
 from bisect import bisect_left
 from collections import defaultdict
@@ -84,7 +83,7 @@ class InvalidQueryError(ValueError):
     pass
 
 
-class UnknownDescriptorError(KeyError):
+class UnknownDescriptorError(LookupError):
     pass
 
 
@@ -112,31 +111,18 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Index:
-    """Immutable fielded index.  Every lookup is a dict probe or a bisect
-    range over sorted keys.  Postings are lists that name each pmid once
-    per key; lookups copy them into fresh sets and never mutate them.
-    Phrases are verified by substring search in the stored spaced texts."""
+    """Immutable fielded index.  Every key, exact or ``*``, is read through
+    ``_lookup``: a dict probe, or a bisect range over the field's sorted
+    keys.  Postings are lists that name each pmid once per key and are never
+    mutated.  Phrases are verified by substring search in the stored spaced
+    texts."""
 
-    postings: dict[str, dict[str, list[str]]]               # field -> token -> pmids
-    sorted_tokens: dict[str, tuple[str, ...]]                # field -> sorted tokens, for `*`
-    texts: dict[str, dict[str, str]]                         # title|abstract -> pmid -> spaced text
-    mesh_names: dict[str, tuple[str, ...]]                   # pmid -> spaced canonical MeSH names
-    descriptor_map: dict[str, list[str]]                     # lower name -> pmids
-    sorted_descriptors: tuple[str, ...]                      # sorted descriptor_map keys
-    mesh_trees: tuple[tuple[str, str], ...]                  # sorted (tree number, lower name)
-    pub_type_postings: dict[str, list[str]]                  # lower type -> pmids
-    sorted_pub_types: tuple[str, ...]                        # sorted pub_type_postings keys
-    all_pmids: frozenset[str]
+    postings: dict[str, dict[str, list[str]]]   # field (see _FIELDS) -> key -> pmids
+    sorted_keys: dict[str, tuple[str, ...]]     # field -> sorted keys, for `*`
+    texts: dict[str, dict[str, str]]            # title|abstract -> pmid -> spaced text
+    mesh_names: dict[str, tuple[str, ...]]      # pmid -> spaced canonical MeSH names
+    mesh_trees: tuple[tuple[str, str], ...]     # sorted (tree number, lower name)
     vocab: Optional[MeshVocab]
-
-    def digest(self) -> str:
-        payload = {
-            field: {tok: sorted(pmids) for tok, pmids in tokens.items()}
-            for field, tokens in self.postings.items()
-        }
-        payload["__mesh__"] = {name: sorted(pmids) for name, pmids in self.descriptor_map.items()}
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _spaced(tokens: list[str]) -> str:
@@ -147,7 +133,16 @@ def _spaced(tokens: list[str]) -> str:
     return " " + " ".join(tokens) + " "
 
 
-_TEXT_KINDS = (FieldKind.TITLE, FieldKind.TITLE_ABSTRACT, FieldKind.ALL_FIELDS, FieldKind.OTHER)
+# Tokens of titles, abstracts and MeSH names; lowercased descriptor names;
+# lowercased publication types.
+_FIELDS = ("title", "abstract", "mesh", "descriptor", "pub_type")
+# The token fields a text term reads, by field kind.
+_TEXT_FIELDS = {
+    FieldKind.TITLE: ("title",),
+    FieldKind.TITLE_ABSTRACT: ("title", "abstract"),
+    FieldKind.ALL_FIELDS: ("title", "abstract", "mesh"),
+    FieldKind.OTHER: ("title", "abstract", "mesh"),
+}
 
 
 def _alternation(stems: set[str]) -> str:
@@ -167,15 +162,16 @@ def build_index(
     """Index a corpus, or documents streamed once in any iterable.  Without
     ``queries`` every token is posted and every text stored.  With them,
     the index answers those queries and no others: the title, abstract and
-    MeSH postings keep only the queries' exact tokens and the tokens under
-    their one-token ``*`` stems, and a title or abstract text is stored only
-    when it holds every exactly matched token of some phrase.  Descriptor
-    and publication-type postings and MeSH names are always whole."""
+    MeSH token postings keep only the queries' exact tokens and the tokens
+    under their one-token ``*`` stems, and a title or abstract text is stored
+    only when it holds every exactly matched token of some phrase.
+    Descriptor and publication-type postings and MeSH names are always
+    whole."""
     exact: set[str] = set()
     stems: set[str] = set()
     phrases: set[frozenset[str]] = set()
     for term in (t for q in queries or () for t in iter_terms(q.root)):
-        tokens = tokenize(term.text) if term.field.kind in _TEXT_KINDS else ()
+        tokens = tokenize(term.text) if term.field.kind in _TEXT_FIELDS else ()
         if term.truncated and len(tokens) == 1:
             stems.add(tokens[0])
         elif tokens:
@@ -197,15 +193,11 @@ def build_index(
         return tokens, posted
 
     canonical: dict[str, tuple[str, str, set[str]]] = {}  # raw tag -> name, spaced, posted
-    postings = {field: defaultdict(list) for field in ("title", "abstract", "mesh")}
+    postings = {field: defaultdict(list) for field in _FIELDS}
     texts: dict[str, dict[str, str]] = {"title": {}, "abstract": {}}
     mesh_names: dict[str, tuple[str, ...]] = {}
-    descriptor_map: defaultdict[str, list[str]] = defaultdict(list)
-    pub_types: defaultdict[str, list[str]] = defaultdict(list)
-    pmids: list[str] = []
     for doc in docs.docs.values() if isinstance(docs, Corpus) else docs:
         pmid = doc.pmid
-        pmids.append(pmid)
         for field, text in (("title", doc.title), ("abstract", doc.abstract)):
             tokens, posted = kept(text)
             if queries is None or any(phrase <= posted for phrase in phrases):
@@ -221,27 +213,19 @@ def build_index(
         entries = [canonical[tag] for tag in doc.mesh_terms]
         mesh_names[pmid] = tuple(spaced for _, spaced, _ in entries)
         for name in {name for name, _, _ in entries}:
-            descriptor_map[name].append(pmid)
+            postings["descriptor"][name].append(pmid)
         for tok in set().union(*(posted for _, _, posted in entries)):
             postings["mesh"][tok].append(pmid)
         for pub_type in {p.lower().strip() for p in doc.pub_types}:
-            pub_types[pub_type].append(pmid)
+            postings["pub_type"][pub_type].append(pmid)
 
     mesh_trees = () if vocab is None else tuple(sorted(
         (tree, d.name.lower()) for d in vocab.descriptors.values() for tree in d.tree_numbers
     ))
     return Index(
-        postings={f: dict(toks) for f, toks in postings.items()},
-        sorted_tokens={f: tuple(sorted(toks)) for f, toks in postings.items()},
-        texts=texts,
-        mesh_names=mesh_names,
-        descriptor_map=dict(descriptor_map),
-        sorted_descriptors=tuple(sorted(descriptor_map)),
-        mesh_trees=mesh_trees,
-        pub_type_postings=dict(pub_types),
-        sorted_pub_types=tuple(sorted(pub_types)),
-        all_pmids=frozenset(pmids),
-        vocab=vocab,
+        postings={f: dict(keys) for f, keys in postings.items()},
+        sorted_keys={f: tuple(sorted(keys)) for f, keys in postings.items()},
+        texts=texts, mesh_names=mesh_names, mesh_trees=mesh_trees, vocab=vocab,
     )
 
 
@@ -249,33 +233,31 @@ def build_index(
 # Indexed execution
 # ---------------------------------------------------------------------------
 
-def _prefix_range(keys: tuple[str, ...], prefix: str) -> tuple[str, ...]:
-    """The run of sorted keys that start with prefix, found by bisection."""
-    lo = hi = bisect_left(keys, prefix)
-    while hi < len(keys) and keys[hi].startswith(prefix):
+def _lookup(idx: Index, field: str, key: str, truncated: bool) -> list[list[str]]:
+    """The posting lists of a key in a field: its own, or with ``*`` those of
+    every key it prefixes, a bisect range of the field's sorted keys."""
+    postings = idx.postings[field]
+    if not truncated:
+        return [postings.get(key, [])]
+    keys = idx.sorted_keys[field]
+    lo = hi = bisect_left(keys, key)
+    while hi < len(keys) and keys[hi].startswith(key):
         hi += 1
-    return keys[lo:hi]
+    return [postings[k] for k in keys[lo:hi]]
 
 
-def _union(postings: dict[str, list[str]], keys) -> set[str]:
-    return set().union(*[postings.get(key, ()) for key in keys])
-
-
-def _index_field_match(idx: Index, fields: list[str], term: Term) -> set[str]:
+def _index_field_match(idx: Index, fields: tuple[str, ...], term: Term) -> set[str]:
     tokens = tokenize(term.text)
     if not tokens:
         return set()
     result: set[str] = set()
     for field in fields:
-        postings = idx.postings[field]
         if len(tokens) == 1:
-            if term.truncated:
-                result |= _union(postings, _prefix_range(idx.sorted_tokens[field], tokens[0]))
-            else:
-                result.update(postings.get(tokens[0], ()))
+            result.update(*_lookup(idx, field, tokens[0], term.truncated))
             continue
         # Phrase: candidates contain every exactly-matched token, then a
         # substring search in their spaced texts verifies adjacency.
+        postings = idx.postings[field]
         exact = tokens[:-1] if term.truncated else tokens
         lists = sorted((postings.get(tok, ()) for tok in exact), key=len)
         candidates = set(lists[0]).intersection(*lists[1:])
@@ -307,38 +289,20 @@ def _index_exploded_names(idx: Index, text: str) -> set[str]:
     return names
 
 
-def _index_mesh_match(idx: Index, term: Term, exploded: bool) -> set[str]:
-    key = term.text.strip().lower()
-    if term.truncated:
-        names = _prefix_range(idx.sorted_descriptors, key)
-    elif exploded:
-        names = _index_exploded_names(idx, term.text)
-    else:
-        names = (key,)
-    return _union(idx.descriptor_map, names)
-
-
-def _index_pub_type_match(idx: Index, term: Term) -> set[str]:
-    want = term.text.strip().lower()
-    types = _prefix_range(idx.sorted_pub_types, want) if term.truncated else (want,)
-    return _union(idx.pub_type_postings, types)
-
-
 def _index_term(idx: Index, term: Term) -> set[str]:
     kind = term.field.kind
-    if kind is FieldKind.TITLE:
-        return _index_field_match(idx, ["title"], term)
-    if kind is FieldKind.TITLE_ABSTRACT:
-        return _index_field_match(idx, ["title", "abstract"], term)
-    if kind in (FieldKind.ALL_FIELDS, FieldKind.OTHER):
-        return _index_field_match(idx, ["title", "abstract", "mesh"], term)
-    if kind is FieldKind.MESH_EXPLODED:
-        return _index_mesh_match(idx, term, exploded=True)
-    if kind is FieldKind.MESH_NOEXP:
-        return _index_mesh_match(idx, term, exploded=False)
+    if kind in _TEXT_FIELDS:
+        return _index_field_match(idx, _TEXT_FIELDS[kind], term)
+    keys = (term.text.strip().lower(),)
     if kind is FieldKind.PUBLICATION_TYPE:
-        return _index_pub_type_match(idx, term)
-    raise InvalidQueryError(f"unsupported field kind {kind}")
+        field = "pub_type"
+    elif kind in (FieldKind.MESH_EXPLODED, FieldKind.MESH_NOEXP):
+        field = "descriptor"
+        if kind is FieldKind.MESH_EXPLODED and not term.truncated:
+            keys = _index_exploded_names(idx, term.text)
+    else:
+        raise InvalidQueryError(f"unsupported field kind {kind}")
+    return set().union(*(pl for key in keys for pl in _lookup(idx, field, key, term.truncated)))
 
 
 def execute_local(idx: Index, q: Query) -> set[str]:

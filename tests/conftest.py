@@ -25,7 +25,7 @@ def topics(fixture_dir):
 
 @pytest.fixture(scope="session")
 def seed_topics(fixture_dir):
-    return load_topics(fixture_dir / "seed_topics.jsonl", tag="SEED")
+    return load_topics(fixture_dir / "seed_topics.jsonl")
 
 
 @pytest.fixture(scope="session")

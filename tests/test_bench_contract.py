@@ -200,7 +200,8 @@ def test_tracer_counts_chat_backoff(monkeypatch):
 
 def test_two_argument_build_index_posts_every_token():
     # child.py builds the probe index as build_index(corpus, vocab), and
-    # the probes time lookups of tokens no pipeline query named.
+    # the probes time lookups of tokens, descriptors and publication types
+    # no pipeline query named.
     corpus = colls.load_corpus(FIXTURES / "corpus.jsonl")
     vocab = colls.load_mesh(FIXTURES / "mesh.tsv")
     index = rt.build_index(corpus, vocab)
@@ -214,3 +215,7 @@ def test_two_argument_build_index_posts_every_token():
         ("mesh", [canonical(tag) for doc in corpus.docs.values() for tag in doc.mesh_terms]),
     ):
         assert set(index.postings[field]) == {tok for text in texts for tok in rt.tokenize(text)}
+    docs = corpus.docs.values()
+    assert set(index.postings["descriptor"]) == {
+        canonical(tag).lower() for doc in docs for tag in doc.mesh_terms}
+    assert set(index.postings["pub_type"]) == {p.lower().strip() for doc in docs for p in doc.pub_types}

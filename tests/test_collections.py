@@ -30,7 +30,6 @@ def test_load_topics_file_order_and_fields(tmp_path):
     )
     topics = load_topics(path)
     assert [t.topic_id for t in topics] == ["CD010438", "CD000002"]
-    assert topics[0].collection_tag == "CLEF"
     assert topics[1].original_query == "a AND b"
 
 
@@ -64,12 +63,26 @@ def test_load_topics_missing_title(tmp_path):
         load_topics(path)
 
 
+TOPIC_FIELD_ERRORS = {
+    "non-string-query": '{"topic_id":"CD1","title":"one","original_query":5}',
+    "non-object-study": '{"topic_id":"CD1","title":"one","seed_studies":[5]}',
+    "studies-not-a-list": '{"topic_id":"CD1","title":"one","seed_studies":{"pmid":"1"}}',
+}
+
+
+@pytest.mark.parametrize("line", TOPIC_FIELD_ERRORS.values(), ids=TOPIC_FIELD_ERRORS)
+def test_load_topics_rejects_a_malformed_query_or_study(tmp_path, line):
+    path = tmp_path / "topics.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(MalformedLineError, match=":1: "):
+        load_topics(path)
+
+
 def test_seed_topics_carry_studies(seed_topics):
     by_id = {t.topic_id: t for t in seed_topics}
     assert by_id["SR100"].seed_studies[0].pmid == "1012"
     assert by_id["SR100"].seed_studies[0].abstract.strip()
     assert by_id["SR102"].seed_studies == ()
-    assert by_id["SR100"].collection_tag == "SEED"
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +191,7 @@ def test_iter_corpus_yields_the_loaded_docs_in_file_order(fixture_dir, corpus):
 # number counts blank lines too.
 CORPUS_ERRORS = {
     "invalid-json": ('{"pmid":"1",', MalformedLineError),
+    "not-an-object": ("5", MalformedLineError),
     "missing-pmid": ('{"title":"no pmid"}', MissingFieldError),
     "missing-title": ('{"pmid":"2"}', MissingFieldError),
     "non-string-title": ('{"pmid":"2","title":42}', MalformedLineError),

@@ -239,6 +239,33 @@ def test_refine_conceptual_from_supplied_file(tmp_path):
     assert all(r.status == "ok" for r in records)
 
 
+# Each bad seed-query line follows a good one, so the error names line 2.
+BAD_SEED_QUERY_LINES = {
+    "missing-query": '{"topic_id": "CD900002"}',
+    "invalid-json": '{"topic_id": "CD900002", "query":',
+}
+
+
+@pytest.mark.parametrize("bad_line", BAD_SEED_QUERY_LINES.values(), ids=BAD_SEED_QUERY_LINES)
+def test_refine_names_the_file_and_line_of_a_bad_seed_query(tmp_path, capsys, bad_line):
+    seeds_path = tmp_path / "conceptual.jsonl"
+    seeds_path.write_text(
+        json.dumps({"topic_id": "CD900001", "query": "seed[tiab]"}) + "\n" + bad_line + "\n")
+    cfg = make_config(tmp_path)
+    cfg.seed_query_files["conceptual"] = str(seeds_path)
+    with pytest.raises(MalformedLineError) as exc:
+        cmd_refine(cfg, "q6", "conceptual", backend=MockBackend(script=["x"] * 3))
+    assert str(exc.value).startswith(f"{seeds_path}:2: ")
+    # The CLI prints the same message and exits 2, with no traceback.
+    config_path = write_cli_config(tmp_path)
+    config = json.loads(config_path.read_text())
+    config["seed_query_files"] = {"conceptual": str(seeds_path)}
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["refine", "--config", str(config_path), "--prompt", "q6",
+                     "--seed-source", "conceptual"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {seeds_path}:2: ")
+
+
 def test_refine_q7_re_pairs_seed_with_original(tmp_path):
     # Related refinement examples pair another topic's seed query (initial)
     # with its expert original query (refined).
@@ -583,7 +610,7 @@ def test_execute_records_an_unknown_descriptor(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "execute_local", unknown_descriptor)
     cfg = make_config(tmp_path)
     gen = logged_generation(cfg)
-    assert cmd_execute(cfg) == [execution_of(gen, status="error", error="'Made Up Descriptor'")]
+    assert cmd_execute(cfg) == [execution_of(gen, status="error", error="Made Up Descriptor")]
 
 
 def test_execute_records_a_failed_cache_write(tmp_path, monkeypatch):

@@ -60,7 +60,7 @@ def test_title_token_posting():
 
 
 def test_rebuild_same_corpus_same_digest(corpus, vocab):
-    assert build_index(corpus, vocab).digest() == build_index(corpus, vocab).digest()
+    assert build_index(corpus, vocab) == build_index(corpus, vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +265,13 @@ def test_query_driven_index_posts_only_query_tokens():
         stems = tuple(tokenize(t.text)[-1] for t in terms if t.truncated and tokenize(t.text))
         full = build_index(corpus, vocab)
         idx = build_index(corpus, vocab, queries=queries)
-        for field, postings in idx.postings.items():
-            for tok, pmids in postings.items():
+        for field in ("title", "abstract", "mesh"):
+            for tok, pmids in idx.postings[field].items():
                 assert tok in exact or tok.startswith(stems), (field, tok)
                 assert pmids == full.postings[field][tok]
-            dropped += len(full.postings[field]) - len(postings)
-        assert idx.descriptor_map == full.descriptor_map
-        assert idx.pub_type_postings == full.pub_type_postings
+            dropped += len(full.postings[field]) - len(idx.postings[field])
+        assert idx.postings["descriptor"] == full.postings["descriptor"]
+        assert idx.postings["pub_type"] == full.postings["pub_type"]
         assert idx.mesh_names == full.mesh_names
         # Stored texts are whole, and every text a phrase check reads is
         # stored: a field holding each exactly matched token of a phrase.
@@ -298,7 +298,7 @@ def test_query_driven_index_posts_only_query_tokens():
     })
     idx = build_index(corpus, queries=[parse("elast*")])
     assert execute_local(idx, parse("elast*")) == {"p1", "p2", "p3"}
-    assert {field: list(postings) for field, postings in idx.postings.items()} == {
+    assert {field: list(idx.postings[field]) for field in ("title", "abstract", "mesh")} == {
         "title": ["elastography"], "abstract": ["elastic"], "mesh": ["elastin"]}
 
 
