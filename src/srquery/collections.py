@@ -8,7 +8,8 @@ Canonical on-disk formats:
   "seed_studies": [{"pmid", "title", "abstract"}]?}``
 * ``qrels.txt`` — TREC format, whitespace separated: ``topic 0 pmid rel``
 * ``corpus.jsonl`` — ``{"pmid", "title", "abstract", "mesh": [...],
-  "pub_types": [...]}``
+  "pub_types": [...]}``; ``abstract`` is a string or null, and ``mesh`` and
+  ``pub_types`` are lists of strings
 * ``mesh.tsv`` — ``ui<TAB>name<TAB>tree;tree``
 
 The JSONL files, and the pipeline's seed-query files, are read by
@@ -293,12 +294,19 @@ def iter_corpus(path) -> Iterator[CorpusDoc]:
         if pmid in seen:
             raise MalformedLineError(path, line_no, f"duplicate pmid {pmid!r}")
         seen.add(pmid)
+        abstract = obj.get("abstract")
+        mesh, pub_types = obj.get("mesh", []), obj.get("pub_types", [])
+        if abstract is not None and not isinstance(abstract, str):
+            raise MalformedLineError(path, line_no, "abstract must be a string or null")
+        for key, tags in (("mesh", mesh), ("pub_types", pub_types)):
+            if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+                raise MalformedLineError(path, line_no, f"{key} must be a list of strings")
         yield CorpusDoc(
             pmid=pmid,
             title=obj["title"],
-            abstract=str(obj.get("abstract") or ""),
-            mesh_terms=tuple(str(m) for m in obj.get("mesh", [])),
-            pub_types=tuple(str(p) for p in obj.get("pub_types", [])),
+            abstract=abstract or "",
+            mesh_terms=tuple(mesh),
+            pub_types=tuple(pub_types),
         )
 
 

@@ -34,13 +34,17 @@ The index (:func:`build_index`, :func:`execute_local`, ``_lookup`` and the
 
 :func:`build_index` makes one pass over the documents, so it can take
 them streamed from the corpus file (``collections.iter_corpus``) and never
-hold the corpus.  ``build_index(corpus, vocab)`` posts every token and
-stores every text.  Given ``queries``, the title, abstract and MeSH token
-postings keep only the queries' exact tokens and the tokens under their
-one-token ``*`` stems (one compiled pattern per build), and a title or
-abstract text is stored only for a phrase candidate: a field that holds
-every exactly matched token of some phrase.  Such an index answers those
-queries and no others: a term it was not built for may miss documents.
+hold the corpus.  An ASCII text is lowercased and its separators turned
+into spaces by one ``str.translate``.  ``build_index(corpus, vocab)`` posts
+every token and stores every text.  Given ``queries``, the title, abstract
+and MeSH token postings keep only the queries' exact tokens and the tokens
+under their one-token ``*`` stems.  One compiled pattern per build, a trie
+over those exact tokens and stems, finds them in a single ``findall`` over
+each text, so a text is not split into tokens to find them.  A title or
+abstract text is stored, and only then split, when it is a phrase
+candidate: a field that holds every exactly matched token of some phrase.
+Such an index answers those queries and no others: a term it was not built
+for may miss documents.
 
 The oracle (:func:`execute_naive`, ``_doc_term_match``, ``_phrase_at``,
 ``_exploded_names`` and :func:`explode_mesh`) re-tokenizes every document
@@ -50,6 +54,7 @@ matching code with the index, so it stays an independent specification.
 
 from __future__ import annotations
 
+import os
 import re
 from bisect import bisect_left
 from collections import defaultdict
@@ -87,22 +92,24 @@ class UnknownDescriptorError(LookupError):
     pass
 
 
-class _Separators(dict):
-    """A ``str.translate`` table that keeps ``[a-z0-9]`` and turns every
-    other character into a space."""
-
-    def __missing__(self, char: int) -> str:
-        return " "
+# Every ASCII character: [A-Z] lowercased, [a-z0-9] kept, the rest a space.
+_SEPARATORS = {c: chr(c).lower() if chr(c).isalnum() else " " for c in range(128)}
 
 
-# Filled for all of ASCII, so that ASCII text stays on translate's fast path.
-_SEPARATORS = _Separators({c: " " for c in range(128)})
-_SEPARATORS.update({ord(c): c for c in "abcdefghijklmnopqrstuvwxyz0123456789"})
+def _separated(text: str) -> str:
+    """The lowercased text with every character outside ``[a-z0-9]`` turned
+    into a space.  ASCII text takes one ``translate``."""
+    if not text.isascii():
+        # lower() may turn a character into ASCII (the Kelvin sign into k,
+        # İ into i + U+0307); every character still outside ASCII is a
+        # separator, replaced by "?" in C rather than looked up one by one.
+        text = text.lower().encode("ascii", "replace").decode("ascii")
+    return text.translate(_SEPARATORS)
 
 
 def tokenize(text: str) -> list[str]:
     """The maximal runs of ``[a-z0-9]`` in the lowercased text."""
-    return text.lower().translate(_SEPARATORS).split()
+    return _separated(text).split()
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +152,21 @@ _TEXT_FIELDS = {
 }
 
 
-def _alternation(stems: set[str]) -> str:
-    """A regex that matches a string starting with any of the stems, its
-    shared leading characters factored out as in a trie."""
+def _alternation(exact: set[str], stems: set[str]) -> str:
+    """A regex that, at the start of a token, matches the whole token when
+    it is one of the exact words or starts with one of the stems.  Shared
+    leading characters are factored out as in a trie, a run of them at a
+    time, so a long word adds no recursion; an exact word must end the
+    token, which a space follows, and a stem is open-ended."""
     if "" in stems:
-        return ""
-    heads = sorted({stem[0] for stem in stems})
-    alts = [h + _alternation({s[1:] for s in stems if s[0] == h}) for h in heads]
+        return "[a-z0-9]*"
+    alts = ["(?= )"] if "" in exact else []
+    for head in sorted({word[0] for word in exact | stems if word}):
+        words = [w for w in exact if w[:1] == head]
+        prefixes = [s for s in stems if s[0] == head]
+        shared = os.path.commonprefix(words + prefixes)
+        cut = len(shared)
+        alts.append(shared + _alternation({w[cut:] for w in words}, {s[cut:] for s in prefixes}))
     return alts[0] if len(alts) == 1 else "(?:" + "|".join(alts) + ")"
 
 
@@ -164,9 +179,11 @@ def build_index(
     the index answers those queries and no others: the title, abstract and
     MeSH token postings keep only the queries' exact tokens and the tokens
     under their one-token ``*`` stems, and a title or abstract text is stored
-    only when it holds every exactly matched token of some phrase.
-    Descriptor and publication-type postings and MeSH names are always
-    whole."""
+    only when it holds every exactly matched token of some phrase.  One
+    compiled pattern, a trie over the exact tokens and the stems, finds the
+    tokens to post in a single scan of each text; a text is split into
+    tokens only when it is stored.  Descriptor and publication-type
+    postings and MeSH names are always whole."""
     exact: set[str] = set()
     stems: set[str] = set()
     phrases: set[frozenset[str]] = set()
@@ -179,18 +196,23 @@ def build_index(
             exact.update(matched)
             if len(tokens) > 1:
                 phrases.add(frozenset(matched))
-    under_stem = re.compile(f" ({_alternation(stems)}[a-z0-9]*)").findall if stems else None
+    # "(?!)" matches nothing: no query reads a title, abstract or MeSH token.
+    find_posted = re.compile(
+        f" ({_alternation(exact, stems)})" if exact or stems else "(?!)").findall
 
-    def kept(text: str) -> tuple[list[str], set[str]]:
-        """A text's tokens, and the ones to post."""
-        chars = text.lower().translate(_SEPARATORS)
-        tokens = chars.split()
+    def scan(text: str, always_store: bool) -> tuple[Optional[str], set[str]]:
+        """A text's spaced form when it is stored (else None), and the tokens
+        to post.  Every text is stored on a build without queries; with
+        them, a text is stored when ``always_store`` holds or when it is a
+        phrase candidate, and is split into tokens only then."""
+        chars = _separated(text)
         if queries is None:
-            return tokens, set(tokens)
-        posted = exact.intersection(tokens)
-        if under_stem:
-            posted.update(under_stem(" " + chars))
-        return tokens, posted
+            tokens = chars.split()
+            return _spaced(tokens), set(tokens)
+        posted = set(find_posted(" " + chars + " "))
+        if always_store or any(map(posted.issuperset, phrases)):
+            return _spaced(chars.split()), posted
+        return None, posted
 
     canonical: dict[str, tuple[str, str, set[str]]] = {}  # raw tag -> name, spaced, posted
     postings = {field: defaultdict(list) for field in _FIELDS}
@@ -199,17 +221,16 @@ def build_index(
     for doc in docs.docs.values() if isinstance(docs, Corpus) else docs:
         pmid = doc.pmid
         for field, text in (("title", doc.title), ("abstract", doc.abstract)):
-            tokens, posted = kept(text)
-            if queries is None or any(phrase <= posted for phrase in phrases):
-                texts[field][pmid] = _spaced(tokens)
+            spaced, posted = scan(text, always_store=False)
+            if spaced is not None:
+                texts[field][pmid] = spaced
             for tok in posted:
                 postings[field][tok].append(pmid)
         for tag in doc.mesh_terms:
             if tag not in canonical:
                 descriptor = vocab.lookup(tag) if vocab is not None else None
                 name = (descriptor.name if descriptor is not None else tag).lower()
-                tokens, posted = kept(name)
-                canonical[tag] = name, _spaced(tokens), posted
+                canonical[tag] = (name, *scan(name, always_store=True))
         entries = [canonical[tag] for tag in doc.mesh_terms]
         mesh_names[pmid] = tuple(spaced for _, spaced, _ in entries)
         for name in {name for name, _, _ in entries}:

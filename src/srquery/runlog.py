@@ -18,9 +18,9 @@ import json
 import logging
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import ClassVar, Iterable, Optional
 
 from .query_ast import QueryParseError, parse
 
@@ -57,6 +57,8 @@ class RunRecord:
     error: str = ""
     timestamp: str = field(default="", compare=False)
 
+    _FIELD_NAMES: ClassVar[frozenset[str]]  # set below, once the fields exist
+
     def to_json(self) -> str:
         obj = {k: v for k, v in vars(self).items() if v not in (None, "", {})}
         obj.setdefault("status", self.status)
@@ -64,9 +66,17 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":
+        """A record from one log line.  Keys that are not fields are
+        dropped; a missing required field raises ``TypeError``."""
         obj = json.loads(line)
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in obj.items() if k in known})
+        if not isinstance(obj, dict):
+            raise TypeError("a record must be a JSON object")
+        if obj.keys() <= cls._FIELD_NAMES:
+            return cls(**obj)
+        return cls(**{k: v for k, v in obj.items() if k in cls._FIELD_NAMES})
+
+
+RunRecord._FIELD_NAMES = frozenset(f.name for f in fields(RunRecord))
 
 
 def _now() -> str:

@@ -197,6 +197,17 @@ CORPUS_ERRORS = {
     "non-string-title": ('{"pmid":"2","title":42}', MalformedLineError),
     "duplicate-pmid": ('{"pmid":"1","title":"b"}', MalformedLineError),
 }
+# Fields of the wrong type, which str() would once have turned into
+# one-letter tags or the text of a list or object.
+CORPUS_TYPE_ERRORS = {
+    "string-mesh": ('{"pmid":"2","title":"t","mesh":"Neoplasms"}', "mesh must be a list"),
+    "string-pub-types": ('{"pmid":"2","title":"t","pub_types":"Review"}', "pub_types must be"),
+    "null-mesh": ('{"pmid":"2","title":"t","mesh":null}', "mesh must be a list"),
+    "object-in-mesh": ('{"pmid":"2","title":"t","mesh":[{"a":1}]}', "mesh must be a list"),
+    "number-in-pub-types": ('{"pmid":"2","title":"t","pub_types":["Review",3]}', "pub_types"),
+    "list-abstract": ('{"pmid":"2","title":"t","abstract":["alpha","beta"]}', "abstract must"),
+    "number-abstract": ('{"pmid":"2","title":"t","abstract":0}', "abstract must"),
+}
 CORPUS_READERS = {"load_corpus": load_corpus, "iter_corpus": lambda p: list(iter_corpus(p))}
 
 
@@ -210,6 +221,17 @@ def test_corpus_readers_raise_the_same_error_at_the_same_line(tmp_path, reader, 
     assert type(exc.value) is error
     if error is MalformedLineError:
         assert exc.value.line_no == 3
+
+
+@pytest.mark.parametrize("reader", CORPUS_READERS.values(), ids=CORPUS_READERS)
+@pytest.mark.parametrize("bad_line,reason", CORPUS_TYPE_ERRORS.values(), ids=CORPUS_TYPE_ERRORS)
+def test_corpus_readers_reject_fields_of_the_wrong_type(tmp_path, reader, bad_line, reason):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"pmid":"1","title":"a","abstract":null,"mesh":[],"pub_types":["Review"]}'
+                    "\n\n" + bad_line + "\n")
+    with pytest.raises(MalformedLineError, match=f":3: {reason}") as exc:
+        reader(path)
+    assert exc.value.line_no == 3
 
 
 def test_iter_corpus_yields_the_docs_before_a_bad_line(tmp_path):

@@ -4,7 +4,7 @@ import re
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from randgen import (
@@ -340,13 +340,76 @@ def test_query_driven_index_with_many_prefix_sharing_stems_equals_naive():
     assert nested >= 10
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sets(st.text("abc", min_size=1, max_size=4), min_size=1, max_size=12),
+# Words and stems over a 3-letter alphabet prefix each other, and a stem
+# often equals an exact word; the empty draw of exact words keeps the
+# stems-only pattern checked.
+WORD_SETS = st.sets(st.text("abc", min_size=1, max_size=4), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.just(set()), WORD_SETS), WORD_SETS,
        st.lists(st.text("abcd", max_size=6), max_size=20))
-def test_stem_alternation_matches_exactly_the_tokens_under_a_stem(stems, tokens):
-    pattern = re.compile(_alternation(stems))
-    for tok in tokens:
-        assert bool(pattern.match(tok)) == tok.startswith(tuple(stems)), (stems, tok)
+def test_stem_alternation_matches_exactly_the_tokens_under_a_stem(exact, stems, tokens):
+    assume(exact or stems)
+    find_posted = re.compile(f" ({_alternation(exact, stems)})").findall
+    expected = [t for t in tokens if t in exact or (t and t.startswith(tuple(stems)))]
+    assert find_posted(" " + " ".join(tokens) + " ") == expected, (exact, stems, tokens)
+
+
+def test_query_driven_build_pinned_cases():
+    corpus = Corpus({
+        "p1": CorpusDoc(pmid="p1", title="cancer screening", abstract="can we screen"),
+        "p2": CorpusDoc(pmid="p2", title="screening can", abstract="thyroid cancers"),
+        "p3": CorpusDoc(pmid="p3", title="Thyroid screening", abstract="canine"),
+        "p4": CorpusDoc(pmid="p4", title="Cancer Screening tests",
+                        mesh_terms=("Thyroid Neoplasms",)),
+    })
+    vocab = fixture_vocab()
+    cases = [
+        "can[tiab]",                      # exact "can" must not post "cancer"
+        "cancer[tiab] OR canc*[ti]",      # "cancer" is exact and under a stem
+        "can[tiab] OR can*[tiab]",        # a stem equal to an exact word
+        '"cancer screening"[ti] OR "screening can"[ti]',  # first and last token
+        '"thyroid cancers"[tiab] OR thyroid[All Fields] OR neoplasms*',
+    ]
+    full = build_index(corpus, vocab)
+    for text in cases:
+        q = parse(text)
+        idx = build_index(corpus, vocab, queries=[q])
+        assert execute_local(idx, q) == execute_local(full, q) == execute_naive(corpus, q, vocab)
+        for field in ("title", "abstract", "mesh"):
+            for tok, pmids in idx.postings[field].items():
+                assert pmids == full.postings[field][tok], (text, field, tok)
+    idx = build_index(corpus, vocab, queries=[parse("can[tiab]")])
+    assert idx.postings["title"] == {"can": ["p2"]}
+    assert idx.postings["abstract"] == {"can": ["p1"]}
+    idx = build_index(corpus, vocab, queries=[parse("cancer[tiab] OR canc*[ti]")])
+    assert idx.postings["title"] == {"cancer": ["p1", "p4"]}
+    assert idx.postings["abstract"] == {"cancers": ["p2"]}
+    idx = build_index(corpus, vocab, queries=[parse('"screening can"[ti]')])
+    assert idx.texts["title"] == {"p2": " screening can "}
+
+
+def test_query_driven_build_folds_non_ascii_case():
+    # İ lowercases to i + U+0307, so "İnk" holds the token "i" and then "nk";
+    # the Kelvin sign lowercases to k.
+    corpus = Corpus({
+        "p1": CorpusDoc(pmid="p1", title="\u0130nk \u212aappa Tests"),
+        "p2": CorpusDoc(pmid="p2", title="ink kappa tests"),
+        "p3": CorpusDoc(pmid="p3", title="TESTS OF \u212aAPPA"),
+    })
+    assert tokenize(corpus.docs["p1"].title) == ["i", "nk", "kappa", "tests"]
+    full = build_index(corpus)
+    for text in ("kappa[ti]", "nk[ti] OR i[ti]", '"kappa tests"[ti]', "kap*[ti] AND ink[ti]",
+                 '"of kappa"[ti]'):
+        q = parse(text)
+        idx = build_index(corpus, queries=[q])
+        assert execute_local(idx, q) == execute_local(full, q) == execute_naive(corpus, q)
+    idx = build_index(corpus, queries=[parse('"kappa tests"[ti] OR nk[ti]')])
+    assert idx.postings["title"] == {"kappa": ["p1", "p2", "p3"], "tests": ["p1", "p2", "p3"],
+                                     "nk": ["p1"]}
+    assert idx.texts["title"] == {"p1": " i nk kappa tests ", "p2": " ink kappa tests ",
+                                  "p3": " tests of kappa "}
 
 
 # The index verifies a phrase by substring search in spaced texts; the

@@ -54,7 +54,7 @@ def test_complete_unterminated_final_record_is_kept(tmp_path):
     assert [r.run_id for r in read_records(path)] == ["r1", "r2"]
 
 
-@pytest.mark.parametrize("bad", [b"{not json\n", b'{"run_id": "r\xff"}\n'])
+@pytest.mark.parametrize("bad", [b"{not json\n", b'{"run_id": "r\xff"}\n', b'["r2"]\n'])
 def test_bad_line_before_the_end_stays_a_hard_error(tmp_path, bad):
     path = tmp_path / "runlog.jsonl"
     append_records(path, [record("r1")])
@@ -64,6 +64,23 @@ def test_bad_line_before_the_end_stays_a_hard_error(tmp_path, bad):
         read_records(path)
     append_records(path, [record("r3")])
     with pytest.raises(RunLogError, match=":2:"):
+        read_records(path)
+
+
+def test_unknown_key_is_dropped_on_read(tmp_path):
+    path = tmp_path / "runlog.jsonl"
+    line = record("r1").to_json()
+    path.write_text(line[:-1] + ', "zz_added_later": {"x": 1}}\n', encoding="utf-8")
+    assert read_records(path) == [record("r1")]
+
+
+def test_line_missing_run_id_is_a_hard_error_naming_it(tmp_path):
+    path = tmp_path / "runlog.jsonl"
+    append_records(path, [record("r1"), record("r2")])
+    with open(path, "a", encoding="utf-8") as f:
+        f.write('{"prompt_id": "q1", "stage": "generate", "topic_id": "T1"}\n')
+    append_records(path, [record("r4")])
+    with pytest.raises(RunLogError, match=r":3: unreadable record: .*run_id"):
         read_records(path)
 
 
