@@ -198,10 +198,6 @@ class RunResult:
     run_index: int
     metrics: Metrics
 
-    @property
-    def retrieved_count(self) -> int:
-        return self.metrics.retrieved_count
-
 
 @dataclass(frozen=True)
 class RunSeries:

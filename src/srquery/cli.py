@@ -12,6 +12,7 @@ Example::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -22,14 +23,13 @@ from .pipeline import AppConfig, UsageError
 
 
 def _load_config(args: argparse.Namespace) -> AppConfig:
-    cfg = AppConfig.from_file(args.config)
-    if getattr(args, "runs", None):
-        cfg.runs_per_topic = args.runs
-    if getattr(args, "parallelism", None):
-        cfg.parallelism = args.parallelism
-    if getattr(args, "backend", None):
-        cfg.execution_backend = args.backend
-    return cfg
+    """The file's configuration with every given flag applied, checked by
+    ``AppConfig.__post_init__`` like a value from the file."""
+    overrides = {"runs_per_topic": getattr(args, "runs", None),
+                 "parallelism": getattr(args, "parallelism", None),
+                 "execution_backend": getattr(args, "backend", None)}
+    return dataclasses.replace(AppConfig.from_file(args.config),
+                               **{k: v for k, v in overrides.items() if v is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:

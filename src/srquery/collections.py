@@ -145,12 +145,6 @@ class CorpusDoc:
 class Corpus:
     docs: dict[str, CorpusDoc]
 
-    def __len__(self) -> int:
-        return len(self.docs)
-
-    def __contains__(self, pmid: str) -> bool:
-        return pmid in self.docs
-
     def get(self, pmid: str) -> Optional[CorpusDoc]:
         return self.docs.get(pmid)
 
@@ -170,9 +164,6 @@ class MeshVocab:
 
     def lookup(self, name: str) -> Optional[MeshDescriptor]:
         return self.descriptors.get(name.strip().lower())
-
-    def __contains__(self, name: str) -> bool:
-        return self.lookup(name) is not None
 
     def __len__(self) -> int:
         return len(self.descriptors)

@@ -20,6 +20,7 @@ import os
 import tempfile
 import urllib.parse
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -99,11 +100,14 @@ def load_cached_result(cache_dir, digest: str) -> Optional[list[str]]:
         return None
     try:
         entry = json.loads(path.read_text(encoding="utf-8"))
-        return list(entry["pmids"])
-    except (json.JSONDecodeError, KeyError):
-        log.warning("discarding unreadable cache entry %s", path)
-        path.unlink(missing_ok=True)
-        return None
+    except ValueError:  # not UTF-8, or not JSON
+        entry = None
+    pmids = entry.get("pmids") if isinstance(entry, dict) else None
+    if isinstance(pmids, list) and all(map(isinstance, pmids, repeat(str))):
+        return pmids
+    log.warning("discarding unreadable cache entry %s", path)
+    path.unlink(missing_ok=True)
+    return None
 
 
 def store_result(cache_dir, digest: str, pmids: list[str]) -> None:

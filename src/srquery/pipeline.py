@@ -10,7 +10,8 @@ Every stage that writes records hands its cells to one runner,
 ``_run_cells``: it skips the cells already logged and records each other
 one as ok, as skipped (no relevant judgments) or as an error from
 ``RECORDED_ERRORS``; any other exception is a programming error and
-propagates.  Only the execute stage writes the result cache.
+propagates.  Formulate and refine share one single-prompt body,
+``_single_prompt``.  Only the execute stage writes the result cache.
 """
 
 from __future__ import annotations
@@ -226,21 +227,6 @@ def _example_pool(topics: list[colls.ReviewTopic]) -> list[ExampleReview]:
     return pool
 
 
-def _example_resolver(
-    example_mode: str, pool: list[ExampleReview]
-) -> Callable[[colls.ReviewTopic], Optional[ExampleReview]]:
-    """The example shown in each topic's prompt.  The bundled hqe example
-    is loaded here, once per stage call, not once per cell."""
-    if example_mode == "none":
-        return lambda topic: None
-    if example_mode == "hqe":
-        example = hqe_example()
-        return lambda topic: example
-    if example_mode == "re":
-        return lambda topic: select_related_example(topic, pool, dice_score)
-    raise UsageError(f"unknown example mode {example_mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # ingest
 # ---------------------------------------------------------------------------
@@ -309,39 +295,6 @@ def _generate(cfg: AppConfig, topics: list[colls.ReviewTopic], prompt_id: str,
     return records
 
 
-def cmd_formulate(cfg: AppConfig, prompt_id: str, example_mode: str = "none",
-                  backend=None) -> list[RunRecord]:
-    """Generate one query per topic per run index with a single formulation
-    prompt (q1-q5).  q4/q5 require an example mode; failures are recorded
-    per topic and never abort the batch."""
-    if prompt_id not in FORMULATE_PROMPTS:
-        raise UsageError(f"formulate accepts prompts {FORMULATE_PROMPTS}, got {prompt_id!r}")
-    if prompt_id in EXAMPLE_PROMPTS and example_mode == "none":
-        raise UsageError(f"{prompt_id} requires --example-mode hqe or re")
-    if prompt_id not in EXAMPLE_PROMPTS and example_mode != "none":
-        raise UsageError(f"{prompt_id} does not take an example")
-
-    cfg.ensure_dirs()
-    topics = cfg.load_topics()
-    example_for = _example_resolver(
-        example_mode, _example_pool(topics) if example_mode == "re" else [])
-    backend = backend if backend is not None else make_backend(cfg.backend)
-
-    def jobs(topic: colls.ReviewTopic):
-        def make():
-            example = example_for(topic)
-            prompt = render(prompt_id, PromptBindings(
-                review_title=topic.title,
-                example_review_title=example.title if example else None,
-                example_review_query=example.query_text if example else None,
-            ))
-            return generate_with_retry(prompt, cfg.backend, backend=backend)
-        return [(f"gen:{prompt_id}:{example_mode}:-:{topic.topic_id}:r{i}", i, make)
-                for i in range(cfg.runs_per_topic)]
-
-    return _generate(cfg, topics, prompt_id, example_mode, "", jobs, read_records(cfg.runlog))
-
-
 def _refinement_pool(
     topics: list[colls.ReviewTopic], seeds: dict[str, str]
 ) -> list[ExampleReview]:
@@ -386,6 +339,65 @@ def _seed_queries(cfg: AppConfig, seed_source: str, topics: list[colls.ReviewTop
     return queries
 
 
+def _single_prompt(cfg: AppConfig, prompt_id: str, example_mode: str, seed_source: str,
+                   backend) -> list[RunRecord]:
+    """The body formulate and refine share after their own checks: one prompt
+    per cell, bound to the topic's title, its seed query (refine only) and its
+    example; ``render`` fills only the placeholders a template names."""
+    if prompt_id in EXAMPLE_PROMPTS and example_mode == "none":
+        raise UsageError(f"{prompt_id} requires --example-mode hqe or re")
+    if prompt_id not in EXAMPLE_PROMPTS and example_mode != "none":
+        raise UsageError(f"{prompt_id} does not take an example")
+
+    cfg.ensure_dirs()
+    topics = cfg.load_topics()
+    logged = read_records(cfg.runlog)
+    seeds = _seed_queries(cfg, seed_source, topics, logged) if seed_source else {}
+    # The bundled hqe example is loaded once per stage call, not per cell.
+    if example_mode == "none":
+        example_for = lambda topic: None
+    elif example_mode == "hqe":
+        example = hqe_example()
+        example_for = lambda topic: example
+    elif example_mode == "re":
+        # refine's related examples pair a seed query with its expert original.
+        pool = _refinement_pool(topics, seeds) if seed_source else _example_pool(topics)
+        example_for = lambda topic: select_related_example(topic, pool, dice_score)
+    else:
+        raise UsageError(f"unknown example mode {example_mode!r}")
+    backend = backend if backend is not None else make_backend(cfg.backend)
+
+    def jobs(topic: colls.ReviewTopic):
+        def make():
+            if seed_source and topic.topic_id not in seeds:
+                raise MissingSeedQueryError(
+                    f"no {seed_source} seed query for topic {topic.topic_id}")
+            example = example_for(topic)
+            prompt = render(prompt_id, PromptBindings(
+                review_title=topic.title,
+                initial_query=seeds.get(topic.topic_id),
+                example_review_title=example.title if example else None,
+                example_review_query=example.query_text if example else None,
+                example_review_initial_query=example.query_text if example else None,
+                example_review_refined_query=example.refined_query_text if example else None,
+            ))
+            return generate_with_retry(prompt, cfg.backend, backend=backend)
+        return [(f"gen:{prompt_id}:{example_mode}:{seed_source or '-'}:{topic.topic_id}:r{i}",
+                 i, make) for i in range(cfg.runs_per_topic)]
+
+    return _generate(cfg, topics, prompt_id, example_mode, seed_source, jobs, logged)
+
+
+def cmd_formulate(cfg: AppConfig, prompt_id: str, example_mode: str = "none",
+                  backend=None) -> list[RunRecord]:
+    """Generate one query per topic per run index with a single formulation
+    prompt (q1-q5).  q4/q5 require an example mode; failures are recorded
+    per topic and never abort the batch."""
+    if prompt_id not in FORMULATE_PROMPTS:
+        raise UsageError(f"formulate accepts prompts {FORMULATE_PROMPTS}, got {prompt_id!r}")
+    return _single_prompt(cfg, prompt_id, example_mode, "", backend)
+
+
 def cmd_refine(cfg: AppConfig, prompt_id: str, seed_source: str,
                example_mode: str = "none", backend=None) -> list[RunRecord]:
     """Refine existing queries with q6/q7; seeds come from the topics'
@@ -394,40 +406,7 @@ def cmd_refine(cfg: AppConfig, prompt_id: str, seed_source: str,
         raise UsageError(f"refine accepts prompts {REFINE_PROMPTS}, got {prompt_id!r}")
     if seed_source not in SEED_SOURCES:
         raise UsageError(f"unknown seed source {seed_source!r}")
-    if prompt_id == "q7" and example_mode == "none":
-        raise UsageError("q7 requires --example-mode hqe or re")
-    if prompt_id == "q6" and example_mode != "none":
-        raise UsageError("q6 does not take an example")
-
-    cfg.ensure_dirs()
-    topics = cfg.load_topics()
-    logged = read_records(cfg.runlog)
-    seeds = _seed_queries(cfg, seed_source, topics, logged)
-    # For q7's related examples, a refinement pair is (the example topic's
-    # seed query, its expert original query); topics missing either drop out.
-    example_for = _example_resolver(
-        example_mode, _refinement_pool(topics, seeds) if example_mode == "re" else [])
-    backend = backend if backend is not None else make_backend(cfg.backend)
-
-    def jobs(topic: colls.ReviewTopic):
-        def make():
-            if topic.topic_id not in seeds:
-                raise MissingSeedQueryError(
-                    f"no {seed_source} seed query for topic {topic.topic_id}"
-                )
-            example = example_for(topic)
-            prompt = render(prompt_id, PromptBindings(
-                review_title=topic.title,
-                initial_query=seeds[topic.topic_id],
-                example_review_title=example.title if example else None,
-                example_review_initial_query=example.query_text if example else None,
-                example_review_refined_query=example.refined_query_text if example else None,
-            ))
-            return generate_with_retry(prompt, cfg.backend, backend=backend)
-        return [(f"gen:{prompt_id}:{example_mode}:{seed_source}:{topic.topic_id}:r{i}", i, make)
-                for i in range(cfg.runs_per_topic)]
-
-    return _generate(cfg, topics, prompt_id, example_mode, seed_source, jobs, logged)
+    return _single_prompt(cfg, prompt_id, example_mode, seed_source, backend)
 
 
 def cmd_guided(cfg: AppConfig, backend=None) -> list[RunRecord]:

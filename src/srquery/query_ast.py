@@ -371,9 +371,8 @@ def parse(text: str) -> Query:
     """
     if not text or not text.strip():
         raise EmptyQueryError("empty query", 0)
+    # Text with a non-space character always lexes to a token or raises.
     tokens = _lex(text)
-    if not tokens:
-        raise EmptyQueryError("empty query", 0)
     parser = _Parser(tokens, len(text))
     root = parser.expression()
     trailing = parser.peek()
@@ -496,19 +495,18 @@ MIN_TRUNCATION_STEM = 3
 def validate(q: Query, vocab=None) -> ValidationReport:
     """Check a query for executability.
 
-    Errors make a query non-executable (unserializable term text, malformed
-    tree shapes built by hand).  Warnings cover unknown field tags, MeSH
-    terms missing from ``vocab`` (when one is supplied), and truncation
-    stems shorter than :data:`MIN_TRUNCATION_STEM`.
+    Errors make a query non-executable: term text or a field tag that
+    cannot be serialized, which only a hand-built term can hold (``Term``
+    and ``Operator`` reject empty text and bad arities themselves).
+    Warnings cover unknown field tags, MeSH terms missing from ``vocab``
+    (when one is supplied), and truncation stems shorter than
+    :data:`MIN_TRUNCATION_STEM`.
     """
     errors: list[ValidationIssue] = []
     warnings: list[ValidationIssue] = []
 
     def walk(node: Node) -> None:
         if isinstance(node, Term):
-            if not node.text.strip():
-                errors.append(ValidationIssue("empty-term", "term text is empty"))
-                return
             if '"' in node.text:
                 errors.append(
                     ValidationIssue(
@@ -555,12 +553,6 @@ def validate(q: Query, vocab=None) -> ValidationReport:
                         )
                     )
             return
-        if node.op is Op.NOT and len(node.children) != 2:
-            errors.append(ValidationIssue("malformed-not", "NOT must be binary"))
-        if node.op is not Op.NOT and len(node.children) < 2:
-            errors.append(
-                ValidationIssue("malformed-operator", f"{node.op.value} needs >= 2 children")
-            )
         for child in node.children:
             walk(child)
 

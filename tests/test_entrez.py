@@ -141,6 +141,27 @@ def test_cache_round_trip(tmp_path):
     assert "fetched_at" in entry
 
 
+@pytest.mark.parametrize("content", [
+    b'{"query_digest": "x", "pmids": ["1", "2"',  # truncated JSON
+    b"{}",
+    b"[]",
+    b'{"pmids": 5}',
+    b'{"pmids": "123"}',
+    b'{"pmids": [1, 2]}',
+    b'{"pmids": null}',
+    b'{"pmids": ["1"]} trailing',
+    b'{"pmids": ["\xff\xfe"]}',  # not UTF-8
+], ids=["truncated", "empty-object", "array", "number", "string", "ints", "null",
+        "trailing", "not-utf8"])
+def test_unreadable_cache_entry_is_discarded(tmp_path, caplog, content):
+    digest = query_digest("some term")
+    path = tmp_path / f"{digest}.json"
+    path.write_bytes(content)
+    assert load_cached_result(tmp_path, digest) is None
+    assert not path.exists()
+    assert "discarding unreadable cache entry" in caplog.text
+
+
 def test_concurrent_stores_of_one_digest(tmp_path):
     digest = query_digest("thyroid[tiab]")
     writers = 8

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -125,14 +126,26 @@ def test_formulate_prompts_contain_hqe_query(tmp_path):
     assert conversation_digest(conv) in fixtures
 
 
+GENERATION_USAGE_ERRORS = [
+    (cmd_formulate, ("q4", "none"), "q4 requires --example-mode hqe or re"),
+    (cmd_formulate, ("q1", "hqe"), "q1 does not take an example"),
+    (cmd_formulate, ("q6", "none"),
+     "formulate accepts prompts ('q1', 'q2', 'q3', 'q4', 'q5'), got 'q6'"),
+    (cmd_formulate, ("q4", "foo"), "unknown example mode 'foo'"),
+    (cmd_refine, ("q4", "original"), "refine accepts prompts ('q6', 'q7'), got 'q4'"),
+    (cmd_refine, ("q6", "bogus"), "unknown seed source 'bogus'"),
+    (cmd_refine, ("q7", "original", "none"), "q7 requires --example-mode hqe or re"),
+    (cmd_refine, ("q6", "original", "hqe"), "q6 does not take an example"),
+    (cmd_refine, ("q7", "original", "foo"), "unknown example mode 'foo'"),
+]
+
+
 def test_formulate_usage_errors(tmp_path):
     cfg = make_config(tmp_path)
-    with pytest.raises(UsageError):
-        cmd_formulate(cfg, "q4", "none")  # example required
-    with pytest.raises(UsageError):
-        cmd_formulate(cfg, "q1", "hqe")   # q1 takes no example
-    with pytest.raises(UsageError):
-        cmd_formulate(cfg, "q6", "none")  # refinement prompt
+    for stage, args, message in GENERATION_USAGE_ERRORS:
+        with pytest.raises(UsageError) as raised:
+            stage(cfg, *args)
+        assert str(raised.value) == message, (stage.__name__, args)
     assert read_records(cfg.runlog) == []  # nothing recorded before usage checks
 
 
@@ -686,6 +699,35 @@ def test_report_shapes(tmp_path):
     assert len(per_topic) == 1 + 6  # 3 topics x 2 methods
 
 
+def test_report_counts_a_failed_evaluable_topic_as_zero(tmp_path):
+    # CD900002's generation exhausts its retries, so the report averages q1
+    # over it as zeros; CD999999 has no relevant judgments and is left out.
+    topics = tmp_path / "topics.jsonl"
+    topics.write_text((FIXTURES / "topics.jsonl").read_text() + json.dumps(
+        {"topic_id": "CD999999", "title": "A topic nobody judged"}) + "\n")
+    cfg = make_config(tmp_path)
+    cfg.topics = str(topics)
+    script = (["(thyroid[tiab] AND cancer[tiab])"] + ["no query here"] * 4
+              + ["(influenza[tiab])", "(liver[tiab])"])
+    generated = cmd_formulate(cfg, "q1", backend=MockBackend(script=script))
+    assert [(r.topic_id, r.status) for r in generated] == [
+        ("CD900001", "ok"), ("CD900002", "error"), ("CD900003", "ok"), ("CD999999", "ok")]
+    cmd_execute(cfg)
+    evaluated = cmd_evaluate(cfg)
+    assert [(r.topic_id, r.status) for r in evaluated] == [
+        ("CD900001", "ok"), ("CD900003", "ok"), ("CD999999", "skipped")]
+    cmd_report(cfg)
+
+    with open(tmp_path / "reports" / "report.csv", newline="") as f:
+        [row] = list(csv.DictReader(f))
+    assert row["method"] == "q1" and row["topics"] == "3"
+    scored = [r.metrics for r in evaluated if r.status == "ok"]
+    assert any(m["precision"] > 0 for m in scored)
+    for metric in ("precision", "f1", "f3", "recall"):
+        assert float(row[metric]) == pytest.approx(
+            sum(m[metric] for m in scored) / 3, abs=1e-6)
+
+
 def test_analyze_report_contents(tmp_path):
     cfg = run_full_pipeline(tmp_path)
     report = cmd_analyze(cfg)
@@ -902,6 +944,26 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
     assert cli.main(["formulate", "--config", config, "--prompt", "q4"]) == 2
     err = capsys.readouterr().err
     assert "example-mode" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--runs", "0"], "runs_per_topic must be >= 1"),
+    (["--runs", "-1"], "runs_per_topic must be >= 1"),
+    (["--parallelism", "0"], "parallelism must be >= 1"),
+], ids=["runs-0", "runs-negative", "parallelism-0"])
+def test_cli_overrides_are_checked_like_the_config(tmp_path, capsys, flags, message):
+    config = str(write_cli_config(tmp_path))
+    assert cli.main(["formulate", "--config", config, "--prompt", "q1", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert read_records(tmp_path / "runlog.jsonl") == []
+
+
+def test_cli_overrides_replace_the_config_values(tmp_path):
+    config = str(write_cli_config(tmp_path))
+    assert cli.main(["formulate", "--config", config, "--prompt", "q4", "--example-mode",
+                     "hqe", "--runs", "2", "--parallelism", "2"]) == 0
+    records = read_records(tmp_path / "runlog.jsonl")
+    assert sorted(r.run_index for r in records) == [0, 0, 0, 1, 1, 1]
 
 
 def test_config_with_unknown_key_is_a_usage_error(tmp_path):
