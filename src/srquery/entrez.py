@@ -22,7 +22,7 @@ import urllib.parse
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .query_ast import Query, serialize
 from .ratelimit import HttpError, RateLimiter, request_json
@@ -110,7 +110,7 @@ def load_cached_result(cache_dir, digest: str) -> Optional[list[str]]:
     return None
 
 
-def store_result(cache_dir, digest: str, pmids: list[str]) -> None:
+def store_result(cache_dir, digest: str, pmids: Iterable[str]) -> None:
     path = _cache_path(cache_dir, digest)
     path.parent.mkdir(parents=True, exist_ok=True)
     entry = {

@@ -59,7 +59,7 @@ from .prompts import (
     render,
     select_related_example,
 )
-from .query_ast import QueryParseError, parse, serialize
+from .query_ast import Query, QueryParseError, parse, serialize
 from .retrieval import InvalidQueryError, UnknownDescriptorError, build_index, execute_local
 from .runlog import RunRecord, append_records, check_integrity, read_records
 
@@ -478,7 +478,7 @@ def cmd_execute(cfg: AppConfig, backend=None) -> list[RunRecord]:
         if pmids is None:
             pmids = (execute_local(index, query) if cfg.execution_backend == "local"
                      else ez.entrez_search(query, entrez_cfg, limiter=limiter))
-            ez.store_result(cfg.cache_dir, digest, sorted(pmids))
+            ez.store_result(cfg.cache_dir, digest, pmids)
         return dict(query=gen.query, query_digest=digest, retrieved_count=len(set(pmids)))
 
     # One group: executions run in log order, so Entrez sees one request at a time.
@@ -551,6 +551,12 @@ def cmd_analyze(cfg: AppConfig) -> dict:
     multi-run variability) and one significance matrix CSV per metric."""
     cfg.ensure_dirs()
     all_records = read_records(cfg.runlog)
+    # The integrity sweep parses every distinct query text in the log, so
+    # the oracle queries below reuse its trees instead of parsing again.
+    trees: dict[str, Query] = {}
+    problems = check_integrity(all_records, trees)
+    if problems:
+        log.warning("run log integrity problems: %s", problems)
     by_method = _evaluated_by_method(all_records)
     qrels = cfg.load_qrels()
     vocab = cfg.load_vocab()
@@ -612,7 +618,9 @@ def cmd_analyze(cfg: AppConfig) -> dict:
                 text = generated_queries.get(record.parent_run_id.split(":", 2)[-1]) or record.query
                 if not text:
                     continue
-                validity = mesh_validity_ratio(parse(text), vocab)
+                # A text that does not parse has no tree; parsing it raises.
+                tree = trees[text] if text in trees else parse(text)
+                validity = mesh_validity_ratio(tree, vocab)
                 counts.append(validity.mesh_count)
                 invalid.append(validity.invalid_fraction * validity.mesh_count)
             total = sum(counts)
@@ -680,9 +688,6 @@ def cmd_analyze(cfg: AppConfig) -> dict:
     with open(out_path, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
-    problems = check_integrity(all_records)
-    if problems:
-        log.warning("run log integrity problems: %s", problems)
     return report
 
 

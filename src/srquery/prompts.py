@@ -12,6 +12,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, fields
+from functools import cache
 from importlib import resources
 from typing import Callable, Optional, Sequence
 
@@ -99,6 +100,9 @@ class ExampleReview:
 # Template loading
 # ---------------------------------------------------------------------------
 
+# Bundled files are digest-pinned package data, so each is read once per
+# process.  A missing one raises on every call: the cache keeps no errors.
+@cache
 def _read_data(name: str) -> str:
     ref = resources.files("srquery") / "prompts" / name
     if not ref.is_file():

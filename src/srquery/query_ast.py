@@ -20,9 +20,10 @@ NOT is binary set difference: ``a NOT b NOT c`` nests as ``(a NOT b) NOT c``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Optional, Union
+from itertools import islice, product
+from typing import Iterator, Optional, Union
 
 __all__ = [
     "FieldKind",
@@ -184,183 +185,157 @@ class NestingTooDeepError(QueryParseError):
 # NOT of a chain; it keeps every recursive walk of a tree far from Python's
 # recursion limit, and real queries nest a few levels.
 MAX_NESTING = 100
+_TOO_DEEP = f"query nests deeper than {MAX_NESTING} levels"
 
 
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
 
-_WORD_BREAK = set(' \t\r\n()[]"“”')
-_QUOTE_OPEN = {'"', "“"}
-_QUOTE_CLOSE = {'"', "”"}
+# One compiled scan cuts the text into token strings, and a token's first
+# character is its kind: '(' and ')', '[' a field tag, a quote a phrase,
+# anything else a word (an operator is a word spelled AND, OR or NOT in any
+# case).  Malformed tokens scan too -- a lone ']' or '”', a tag or phrase
+# left open runs to the end of the text, a word of only '*' -- so the scan
+# never fails; the parser rejects them where it reads them.
+#
+# Whitespace is asymmetric: a character is whitespace when str.isspace()
+# says so (exactly what ``\s`` matches), and whitespace separates tokens
+# and cannot start a word, but only space, tab, CR and LF end one: "a\x0bb"
+# is one word.  No alternative matches a whitespace character, so findall
+# skips it; a leading ``\s*`` would instead backtrack and let a trailing
+# "\xa0" or "\x0b" become a word.
+_TOKEN = re.compile(
+    r'[()\]”]'
+    r'|\[[^\]]*\]?'
+    r'|["“][^"”]*(?:["”]\*?)?'
+    r'|[^\s()\[\]"“”][^ \t\r\n()\[\]"“”]*'
+)
+# Every case spelling ("aNd", ...).  No other character upper-cases to one
+# of these letters, so this equals testing ``word.upper()``.
+_OPS = {"".join(s): op for op in Op for s in product(*zip(op.value, op.value.lower()))}
 
 
-class _Token(NamedTuple):
-    kind: str  # LPAREN RPAREN WORD PHRASE TAG OP
-    value: str
-    pos: int
-    truncated: bool = False
+def _phrase(tok: str) -> Optional[tuple[str, bool]]:
+    """A phrase token's stripped text and truncation; None unless closed.
+    A '*' at the end inside the quotes or right after them truncates."""
+    body = tok.rstrip("*")  # at most one '*' follows a closing quote
+    if len(body) < 2 or body[-1] not in '"”':
+        return None
+    text = body[1:-1]
+    truncated = len(body) < len(tok) or text.endswith("*")
+    return text.rstrip("*").strip(), truncated
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("LPAREN", "(", i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("RPAREN", ")", i))
-            i += 1
-            continue
-        if ch == "[":
-            end = text.find("]", i + 1)
-            if end < 0:
-                raise UnbalancedParenError("unclosed '[' field tag", i)
-            tokens.append(_Token("TAG", text[i + 1 : end], i))
-            i = end + 1
-            continue
-        if ch == "]":
-            raise UnbalancedParenError("']' without matching '['", i)
-        if ch == "”":
-            raise UnbalancedQuoteError("'”' without matching '“'", i)
-        if ch in _QUOTE_OPEN:
-            j = i + 1
-            while j < n and text[j] not in _QUOTE_CLOSE:
-                j += 1
-            if j >= n:
-                raise UnbalancedQuoteError("unclosed quote", i)
-            phrase = text[i + 1 : j]
-            j += 1
-            truncated = False
-            if phrase.endswith("*"):
-                truncated = True
-                phrase = phrase.rstrip("*")
-            if j < n and text[j] == "*":  # star after closing quote
-                truncated = True
-                j += 1
-            if not phrase.strip():
-                raise EmptyQueryError("empty quoted phrase", i)
-            tokens.append(_Token("PHRASE", phrase.strip(), i, truncated))
-            i = j
-            continue
-        # A bare word: runs to the next delimiter.
-        j = i
-        while j < n and text[j] not in _WORD_BREAK:
-            j += 1
-        word = text[i:j]
-        upper = word.upper()
-        if upper in ("AND", "OR", "NOT"):
-            tokens.append(_Token("OP", upper, i))
-        else:
-            truncated = False
-            if word.endswith("*"):
-                truncated = True
-                word = word.rstrip("*")
-            if not word:
-                raise QueryParseError("bare '*' is not a term", i)
-            tokens.append(_Token("WORD", word, i, truncated))
-        i = j
-    return tokens
+def _first_bad_token(tokens: list[str]) -> Optional[tuple[int, type, str]]:
+    """The lexical errors, in text order: they win over any parse error."""
+    for k, tok in enumerate(tokens):
+        c = tok[0]
+        if c == "[":
+            if tok[-1] != "]":
+                return k, UnbalancedParenError, "unclosed '[' field tag"
+        elif c == "]":
+            return k, UnbalancedParenError, "']' without matching '['"
+        elif c == "”":
+            return k, UnbalancedQuoteError, "'”' without matching '“'"
+        elif c in '"“':
+            phrase = _phrase(tok)
+            if phrase is None:
+                return k, UnbalancedQuoteError, "unclosed quote"
+            if not phrase[0]:
+                return k, EmptyQueryError, "empty quoted phrase"
+        elif not tok.rstrip("*"):
+            return k, QueryParseError, "bare '*' is not a term"
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], source_len: int):
-        self.tokens = tokens
-        self.i = 0
-        self.source_len = source_len
-        self.depth = 0
+# Recursive descent over the token list by index: each function takes the
+# index of its first token and returns the node with the index after it.
+# An error is a _Syntax carrying the failing token's index; parse() turns it
+# into the public error, first letting any lexical error win, and only then
+# finds the character position by scanning the text again.
 
-    def nest(self, tok: _Token) -> None:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise NestingTooDeepError(f"query nests deeper than {MAX_NESTING} levels", tok.pos)
+class _Syntax(Exception):
+    """(token index, error class, message); empty for a malformed token."""
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def next(self) -> Optional[_Token]:
-        tok = self.peek()
-        if tok is not None:
-            self.i += 1
-        return tok
-
-    def expression(self) -> Node:
-        outer = self.depth
-        node = self.clause()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind == "RPAREN":
-                self.depth = outer
-                return node
-            if tok.kind != "OP":
-                raise AdjacentTermsError(
-                    "terms must be joined by AND/OR/NOT", tok.pos
-                )
-            self.next()
-            op = Op(tok.value)
-            if op is Op.NOT:  # a NOT chain nests one level per NOT
-                self.nest(tok)
-            right = self.clause()
-            if op is not Op.NOT and isinstance(node, Operator) and node.op is op:
-                node = Operator(op, node.children + (right,))
-            else:
-                node = Operator(op, (node, right))
-
-    def clause(self) -> Node:
-        tok = self.peek()
-        if tok is None:
-            raise QueryParseError("expected a term", self.source_len)
-        if tok.kind == "OP":
-            raise QueryParseError(f"operator {tok.value} lacks a left operand", tok.pos)
-        if tok.kind == "RPAREN":
-            raise UnbalancedParenError("')' without matching '('", tok.pos)
-        if tok.kind == "TAG":
-            raise QueryParseError("field tag without a preceding term", tok.pos)
-        if tok.kind == "LPAREN":
-            self.next()
-            self.nest(tok)
-            node = self.expression()
-            self.depth -= 1
-            closing = self.next()
-            if closing is None or closing.kind != "RPAREN":
-                raise UnbalancedParenError("unclosed '('", tok.pos)
-            return node
-        return self.term()
-
-    def term(self) -> Term:
-        tok = self.next()
-        assert tok is not None
-        if tok.kind == "PHRASE":
-            text, truncated = tok.value, tok.truncated
+def _expression(tokens: list[str], i: int, depth: int) -> tuple[Node, int]:
+    node, i = _clause(tokens, i, depth)
+    n = len(tokens)
+    while i < n:
+        tok = tokens[i]
+        if tok == ")":
+            break
+        op = _OPS.get(tok)
+        if op is None:
+            raise _Syntax(i, AdjacentTermsError, "terms must be joined by AND/OR/NOT")
+        if op is Op.NOT:  # a NOT chain nests one level per NOT
+            if depth == MAX_NESTING:
+                raise _Syntax(i, NestingTooDeepError, _TOO_DEEP)
+            depth += 1
+        right, i = _clause(tokens, i + 1, depth)
+        if op is not Op.NOT and isinstance(node, Operator) and node.op is op:
+            node = Operator(op, node.children + (right,))
         else:
-            # Collect a run of bare words into one phrase term; a truncated
-            # word always ends the run (truncation binds the final token).
-            words = [tok.value]
-            truncated = tok.truncated
-            while not truncated:
-                nxt = self.peek()
-                if nxt is None or nxt.kind != "WORD":
-                    break
-                self.next()
-                words.append(nxt.value)
-                truncated = nxt.truncated
-            text = " ".join(words)
-        field_tag = ALL_FIELDS
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == "TAG":
-            self.next()
-            field_tag = FieldTag.from_raw(nxt.value)
-        return Term(text=text, field=field_tag, truncated=truncated)
+            node = Operator(op, (node, right))
+    return node, i
+
+
+def _clause(tokens: list[str], i: int, depth: int) -> tuple[Node, int]:
+    n = len(tokens)
+    if i == n:
+        raise _Syntax(i, QueryParseError, "expected a term")
+    tok = tokens[i]
+    c = tok[0]
+    if c == "(":
+        if depth == MAX_NESTING:
+            raise _Syntax(i, NestingTooDeepError, _TOO_DEEP)
+        node, j = _expression(tokens, i + 1, depth + 1)
+        if j == n:  # an expression stops only at ')' or the end
+            raise _Syntax(i, UnbalancedParenError, "unclosed '('")
+        return node, j + 1
+    if c == ")":
+        raise _Syntax(i, UnbalancedParenError, "')' without matching '('")
+    if c == "[":
+        raise _Syntax(i, QueryParseError, "field tag without a preceding term")
+    if tok in _OPS:
+        raise _Syntax(i, QueryParseError, f"operator {_OPS[tok].value} lacks a left operand")
+    if c in '"“”]':  # a lone '”' or ']' is not a closed phrase either
+        phrase = _phrase(tok)
+        if phrase is None or not phrase[0]:
+            raise _Syntax()
+        text, truncated = phrase
+        i += 1
+    else:
+        # A run of bare words is one phrase term; a truncated word ends the
+        # run (truncation binds the final token).
+        words = []
+        while True:
+            i += 1
+            truncated = tok[-1] == "*"
+            if truncated:
+                tok = tok.rstrip("*")
+                if not tok:
+                    raise _Syntax()
+            words.append(tok)
+            if truncated or i == n:
+                break
+            tok = tokens[i]
+            if tok[0] in '()[]"“”' or tok in _OPS:
+                break
+        text = " ".join(words)
+    field_tag = ALL_FIELDS
+    if i < n and tokens[i][0] == "[":
+        tag = tokens[i]
+        if tag[-1] != "]":
+            raise _Syntax()
+        field_tag = FieldTag.from_raw(tag[1:-1])
+        i += 1
+    return Term(text, field_tag, truncated), i
 
 
 def parse(text: str) -> Query:
@@ -371,13 +346,17 @@ def parse(text: str) -> Query:
     """
     if not text or not text.strip():
         raise EmptyQueryError("empty query", 0)
-    # Text with a non-space character always lexes to a token or raises.
-    tokens = _lex(text)
-    parser = _Parser(tokens, len(text))
-    root = parser.expression()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise UnbalancedParenError("unexpected trailing input", trailing.pos)
+    # Text with a non-space character always scans to at least one token.
+    tokens = _TOKEN.findall(text)
+    try:
+        root, i = _expression(tokens, 0, 0)
+        if i < len(tokens):
+            raise _Syntax(i, UnbalancedParenError, "unexpected trailing input")
+    except _Syntax as e:
+        k, error, message = _first_bad_token(tokens) or e.args
+        pos = len(text) if k == len(tokens) else \
+            next(islice(_TOKEN.finditer(text), k, None)).start()
+        raise error(message, pos) from None
     return Query(root)
 
 

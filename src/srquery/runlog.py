@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar, Iterable, Optional
 
-from .query_ast import QueryParseError, parse
+from .query_ast import Query, QueryParseError, parse
 
 __all__ = ["RunRecord", "RunLogError", "append_records", "read_records", "check_integrity"]
 
@@ -145,10 +145,12 @@ def read_records(path) -> list[RunRecord]:
     return records
 
 
-def check_integrity(records: Iterable[RunRecord]) -> list[str]:
+def check_integrity(records: Iterable[RunRecord],
+                    trees: Optional[dict[str, Query]] = None) -> list[str]:
     """Log-integrity sweep: unique run_ids and every recorded query must
     re-parse.  Returns a list of problems (empty when clean), naming every
-    record that carries a bad query; each distinct text is parsed once."""
+    record that carries a bad query; each distinct text is parsed once.
+    ``trees``, when given, receives the tree of each text that parsed."""
     problems = []
     seen: set[str] = set()
     parse_errors: dict[str, str] = {}  # query text -> "" or its parse error
@@ -159,10 +161,13 @@ def check_integrity(records: Iterable[RunRecord]) -> list[str]:
         if record.query:
             if record.query not in parse_errors:
                 try:
-                    parse(record.query)
-                    parse_errors[record.query] = ""
+                    tree = parse(record.query)
                 except QueryParseError as e:
                     parse_errors[record.query] = str(e)
+                else:
+                    parse_errors[record.query] = ""
+                    if trees is not None:
+                        trees[record.query] = tree
             if parse_errors[record.query]:
                 problems.append(f"{record.run_id}: query does not re-parse: "
                                 f"{parse_errors[record.query]}")

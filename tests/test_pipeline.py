@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from srquery import cli, entrez, pipeline, prompts
+from srquery import cli, entrez, pipeline, prompts, runlog
 from srquery.collections import MalformedLineError
 from srquery.entrez import EntrezConfig, query_digest
 from srquery.gateway import BackendConfig, Conversation, MockBackend, conversation_digest
@@ -777,6 +778,34 @@ def test_analyze_variability_with_multiple_runs(tmp_path):
     quartiles = variability["recall"]["per_topic_quartiles"]
     assert set(quartiles) == {"CD900001", "CD900002", "CD900003"}
     assert all(len(q) == 5 for q in quartiles.values())
+
+
+def test_analyze_parses_each_distinct_query_text_once(tmp_path, monkeypatch):
+    # The oracle queries reuse the trees of the integrity sweep.
+    cfg = run_full_pipeline(tmp_path)
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse(text)
+    monkeypatch.setattr(pipeline, "parse", counting_parse)
+    monkeypatch.setattr(runlog, "parse", counting_parse)
+    report = cmd_analyze(cfg)
+    assert report["methods"]["q4-hqe"]["mesh_terms_per_query"] == pytest.approx(2 / 3, abs=1e-4)
+    texts = {r.query for r in read_records(cfg.runlog) if r.query}
+    assert len(parsed) == len(texts)
+    assert set(parsed) == texts
+
+
+def test_analyze_warns_about_a_query_that_does_not_reparse(tmp_path, caplog):
+    cfg = run_full_pipeline(tmp_path)
+    logged_generation(cfg, query="(a AND b")
+    with caplog.at_level(logging.WARNING, logger="srquery.pipeline"):
+        cmd_analyze(cfg)
+    assert [r.getMessage() for r in caplog.records if r.name == "srquery.pipeline"] == [
+        """run log integrity problems: ["gen:q1:none:-:CD900001:r0: query does not re-parse: """
+        """unclosed '(' (at position 0)"]"""
+    ]
 
 
 # ---------------------------------------------------------------------------

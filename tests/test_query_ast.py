@@ -122,6 +122,10 @@ PARSE_ERRORS = [
     ("a[tiab] b[tiab]", AdjacentTermsError,
      "terms must be joined by AND/OR/NOT (at position 8)", 8),
     ('"a" b', AdjacentTermsError, "terms must be joined by AND/OR/NOT (at position 4)", 4),
+    ("[tiab] a", QueryParseError, "field tag without a preceding term (at position 0)", 0),
+    # The whole text is lexed before it is parsed: a lexical error anywhere
+    # wins over an earlier parse error.
+    ("AND a [", UnbalancedParenError, "unclosed '[' field tag (at position 6)", 6),
 ]
 
 
@@ -154,6 +158,51 @@ def test_parse_tab_splits_a_word_but_vertical_tab_does_not():
     assert parse("a\tb[tiab]").root == Term("a b", FieldTag(FieldKind.TITLE_ABSTRACT))
     assert parse("a\x0bb").root == Term("a\x0bb")
     assert parse("\x0ba").root == Term("a")
+
+
+TIAB = FieldTag(FieldKind.TITLE_ABSTRACT)
+
+
+@pytest.mark.parametrize("text,root,serialized", [
+    # A '*' after the closing quote truncates the phrase.
+    ('"heart attack"*[tiab]', Term("heart attack", TIAB, truncated=True),
+     '"heart attack*"[Title/Abstract]'),
+    # Trailing whitespace that does not end a word is still skipped.
+    ("a[tiab]\xa0", Term("a", TIAB), "a[Title/Abstract]"),
+    ("a \x0b", Term("a"), "a[All Fields]"),
+])
+def test_parse_tree_and_serialization(text, root, serialized):
+    q = parse(text)
+    assert q.root == root
+    assert serialize(q) == serialized
+
+
+# Outcomes recorded with the earlier character-by-character lexer, so any
+# change to one is a change of behaviour: [text, serialization] or
+# [text, error type, message, position].
+# The texts are seeded: mutated serializations of random_query trees, random
+# strings over brackets, quotes, '*', AND/OR/NOT, field tags and the
+# whitespace that does not end a word (\t, \x0b, \xa0), and nesting around
+# MAX_NESTING.
+PARSE_GOLDEN = Path(__file__).parent / "fixtures" / "parse_golden.jsonl"
+
+
+def test_parse_matches_the_golden_outcomes():
+    errors = {e.__name__: e for e in (QueryParseError, UnbalancedParenError,
+                                      UnbalancedQuoteError, AdjacentTermsError,
+                                      EmptyQueryError, NestingTooDeepError)}
+    rows = [json.loads(line) for line in PARSE_GOLDEN.read_text(encoding="utf-8").splitlines()]
+    assert len(rows) > 1000
+    for text, *outcome in rows:
+        if len(outcome) == 1:
+            assert serialize(parse(text)) == outcome[0], text
+            continue
+        error, message, pos = outcome
+        with pytest.raises(QueryParseError) as exc:
+            parse(text)
+        assert type(exc.value) is errors[error], text
+        assert str(exc.value) == f"{message} (at position {pos})", text
+        assert exc.value.pos == pos, text
 
 
 def test_parse_multiword_sequence_is_one_phrase():
