@@ -15,7 +15,6 @@ on it; the test suite pins them to numpy with exact equality.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -252,6 +251,8 @@ def retrieved_ratio_stats(
         if original <= 0:
             raise ZeroOriginalCountError("original retrieved count must be positive")
         grouped.setdefault(label, []).append(generated / original)
+    import statistics  # here, so that importing srquery does not load it
+
     return {label: statistics.median(ratios) for label, ratios in grouped.items()}
 
 

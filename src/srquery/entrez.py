@@ -96,10 +96,10 @@ def _cache_path(cache_dir, digest: str) -> Path:
 
 def load_cached_result(cache_dir, digest: str) -> Optional[list[str]]:
     path = _cache_path(cache_dir, digest)
-    if not path.exists():
-        return None
     try:
         entry = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:  # never stored, or discarded by another reader
+        return None
     except ValueError:  # not UTF-8, or not JSON
         entry = None
     pmids = entry.get("pmids") if isinstance(entry, dict) else None

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 from functools import partial
 from pathlib import Path
@@ -121,6 +120,14 @@ class AppConfig:
             raise UsageError("parallelism must be >= 1")
         if self.execution_backend not in ("local", "entrez"):
             raise UsageError(f"unknown execution backend {self.execution_backend!r}")
+        # A local, mock, single-threaded run never loads the HTTP stack or
+        # the thread pool (see _run_cells and ratelimit.request_json); a run
+        # that will use them loads them here, in setup, rather than in its
+        # first timed request or batch.
+        if self.backend.kind == "http" or self.execution_backend == "entrez":
+            import urllib.request  # noqa: F401
+        if self.parallelism > 1:  # the package alone defers loading this name
+            from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
     @classmethod
     def from_file(cls, path) -> "AppConfig":
@@ -206,6 +213,8 @@ def _run_cells(cfg: AppConfig, groups: list[list[tuple[dict, Callable[[], dict]]
     if cfg.parallelism <= 1 or len(groups) <= 1:
         batches = [run_group(cells) for cells in groups]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
             batches = list(pool.map(run_group, groups))
     return [record for batch in batches for record in batch]

@@ -74,8 +74,14 @@ class FieldTag:
 
     @staticmethod
     def from_raw(raw: str) -> "FieldTag":
-        key = " ".join(raw.split()).lower()
-        return _TAG_ALIASES.get(key) or FieldTag(FieldKind.OTHER, raw.strip())
+        tag = _TAG_BY_RAW.get(raw)
+        if tag is None:
+            tag = _TAG_ALIASES.get(" ".join(raw.split()).lower())
+            if tag is None:
+                return FieldTag(FieldKind.OTHER, raw.strip())
+            if len(_TAG_BY_RAW) < _TAG_BY_RAW_MAX:
+                _TAG_BY_RAW[raw] = tag
+        return tag
 
     def spelled(self) -> str:
         if self.kind is FieldKind.OTHER:
@@ -106,6 +112,11 @@ _TAG_ALIASES = {
     "publication type": FieldTag(FieldKind.PUBLICATION_TYPE),
     "pt": FieldTag(FieldKind.PUBLICATION_TYPE),
 }
+# Each raw spelling seen that resolves to an alias, mapped to its shared tag
+# so it is normalized once per process.  Unrecognized (OTHER) spellings are
+# never kept, and the cap bounds case and whitespace variants of the rest.
+_TAG_BY_RAW: dict[str, FieldTag] = {}
+_TAG_BY_RAW_MAX = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +275,13 @@ class _Syntax(Exception):
 
 
 def _expression(tokens: list[str], i: int, depth: int) -> tuple[Node, int]:
+    # Operators bind left to right with no precedence; a run of one AND or
+    # OR collects its operands in a list and becomes one Operator when the
+    # run ends, and a parenthesised left operand of the same operator is
+    # flattened into it: "(a OR b) OR c" is OR(a, b, c).
     node, i = _clause(tokens, i, depth)
+    run: Optional[Op] = None
+    operands: list[Node] = []
     n = len(tokens)
     while i < n:
         tok = tokens[i]
@@ -278,10 +295,15 @@ def _expression(tokens: list[str], i: int, depth: int) -> tuple[Node, int]:
                 raise _Syntax(i, NestingTooDeepError, _TOO_DEEP)
             depth += 1
         right, i = _clause(tokens, i + 1, depth)
-        if op is not Op.NOT and isinstance(node, Operator) and node.op is op:
-            node = Operator(op, node.children + (right,))
-        else:
-            node = Operator(op, (node, right))
+        if op is not run or op is Op.NOT:  # close the open run, start op's
+            if run is not None:
+                node = Operator(run, tuple(operands))
+            run = op
+            flat = op is not Op.NOT and isinstance(node, Operator) and node.op is op
+            operands = list(node.children) if flat else [node]
+        operands.append(right)
+    if run is not None:
+        node = Operator(run, tuple(operands))
     return node, i
 
 

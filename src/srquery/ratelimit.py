@@ -7,16 +7,20 @@ after each answer before its next request is sent; 429 and 5xx
 gateway statuses are retried with exponential backoff, or after the wait a
 delay-seconds ``Retry-After`` asks for (RFC 9110 §10.2.3), and every failed
 request surfaces as one ``HttpError`` type.
+
+The HTTP stack (``urllib.request``, which brings ``http.client``, ``ssl``
+and ``email``) is imported inside ``request_json``, so a run that never
+sends a request -- a mock backend with the local index -- never loads it.
+``pipeline.AppConfig`` imports it up front for a configuration that will send
+requests, so that its cost falls in setup rather than in the first
+request.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Callable, Optional
 
 __all__ = ["RateLimiter", "HttpError", "request_json"]
@@ -76,6 +80,10 @@ def request_json(url: str, *, timeout: float, payload=None, headers: Optional[di
     backoff).  A ``Retry-After`` longer than ``timeout``, any other status,
     a body that is not JSON, a connection failure or a timeout raises
     ``HttpError`` at once."""
+    import http.client
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(url, headers=headers or {})
     if payload is not None:
         request.data = json.dumps(payload).encode("utf-8")

@@ -4,6 +4,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 import pytest
@@ -160,6 +161,13 @@ def test_unreadable_cache_entry_is_discarded(tmp_path, caplog, content):
     assert load_cached_result(tmp_path, digest) is None
     assert not path.exists()
     assert "discarding unreadable cache entry" in caplog.text
+
+
+def test_an_entry_gone_after_an_existence_check_is_a_miss(tmp_path, monkeypatch):
+    # Another reader may discard an entry between a check that it exists
+    # and the read; the lookup reports a miss rather than raising.
+    monkeypatch.setattr(Path, "exists", lambda self: True)
+    assert load_cached_result(tmp_path, query_digest("some term")) is None
 
 
 def test_concurrent_stores_of_one_digest(tmp_path):

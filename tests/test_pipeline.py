@@ -678,6 +678,69 @@ def test_import_pulls_in_no_third_party_library():
     assert result.stdout.strip() == "[]"
 
 
+# The modules only a network or parallel run needs.  A local run with the
+# mock backend and one worker never loads them.  ThreadPoolExecutor lives in
+# concurrent.futures.thread, which concurrent.futures imports on first use.
+OPTIONAL_MODULES = ("concurrent.futures", "concurrent.futures.thread", "email", "http.client",
+                    "ssl", "urllib.request")
+
+
+def _modules_left_loaded(code: str, probe=OPTIONAL_MODULES) -> list[str]:
+    """Run ``code`` in a fresh interpreter and return which ``probe``
+    modules it has loaded at the end."""
+    code += f"\nimport json, sys; print(json.dumps(sorted(set(sys.modules) & {set(probe)!r})))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_network_thread_pool_or_statistics_module():
+    assert _modules_left_loaded("import srquery.pipeline, srquery.cli",
+                                OPTIONAL_MODULES + ("statistics",)) == []
+
+
+@pytest.mark.parametrize("setting, loaded", [
+    ("", []),
+    ("backend=BackendConfig(kind='http', base_url='http://127.0.0.1:9')",
+     ["email", "http.client", "ssl", "urllib.request"]),
+    ("execution_backend='entrez'", ["email", "http.client", "ssl", "urllib.request"]),
+    ("parallelism=2", ["concurrent.futures", "concurrent.futures.thread"]),
+], ids=["mock-local-serial", "http", "entrez", "parallel"])
+def test_config_loads_what_its_run_will_use_when_built(setting, loaded):
+    code = ("import sys\n"
+            "from srquery.gateway import BackendConfig\n"
+            "from srquery.pipeline import AppConfig\n"
+            "assert not {'concurrent.futures', 'urllib.request'} & set(sys.modules)\n"
+            "AppConfig(topics='t', qrels='q', runlog='r', cache_dir='c', report_dir='d', "
+            f"{setting})")
+    assert _modules_left_loaded(code) == loaded
+
+
+def test_request_json_imports_its_transport_when_called(esearch_stub):
+    _EsearchStub.count = 2
+    code = ("import sys\n"
+            "from srquery.ratelimit import request_json\n"
+            "assert 'urllib.request' not in sys.modules\n"
+            f"body = request_json({esearch_stub + '/esearch.fcgi?term=x'!r}, timeout=10.0)\n"
+            "assert body['esearchresult']['idlist'] == ['0', '1'], body")
+    assert "urllib.request" in _modules_left_loaded(code)
+
+
+def test_a_local_mock_run_loads_no_network_or_thread_pool_module(tmp_path):
+    config = str(write_cli_config(tmp_path))
+    stages = [["ingest"], ["formulate", "--prompt", "q4", "--example-mode", "hqe"],
+              ["execute"], ["evaluate"], ["analyze"], ["report"]]
+    code = ("from srquery import cli\n"
+            f"for argv in {stages!r}:\n"
+            f"    assert cli.main([*argv, '--config', {config!r}]) == 0, argv")
+    assert _modules_left_loaded(code) == []
+    evaluated = [r for r in read_records(tmp_path / "runlog.jsonl") if r.stage == "evaluate"]
+    assert [r.status for r in evaluated] == ["ok"] * 6
+    assert (tmp_path / "reports" / "report.csv").exists()
+
+
 def test_evaluate_attaches_metrics(tmp_path):
     cfg = make_config(tmp_path)
     cmd_ingest(cfg)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randgen import random_query
+from srquery import query_ast
 from srquery.query_ast import (
     AdjacentTermsError,
     EmptyQueryError,
@@ -230,6 +231,30 @@ def test_parse_not_is_binary_left_associative():
     assert isinstance(left, Operator) and left.op is Op.NOT
 
 
+A, B, C, D = (Term(t) for t in "abcd")
+
+
+@pytest.mark.parametrize("text, root", [
+    ("(a OR b) OR c", Operator(Op.OR, (A, B, C))),
+    ("a OR (b OR c)", Operator(Op.OR, (A, Operator(Op.OR, (B, C))))),
+    ("a OR b AND c OR d",
+     Operator(Op.OR, (Operator(Op.AND, (Operator(Op.OR, (A, B)), C)), D))),
+    ("(a AND b) AND c NOT d AND a",
+     Operator(Op.AND, (Operator(Op.NOT, (Operator(Op.AND, (A, B, C)), D)), A))),
+    ("(a NOT b) NOT c OR d",
+     Operator(Op.OR, (Operator(Op.NOT, (Operator(Op.NOT, (A, B)), C)), D))),
+])
+def test_parse_operator_runs_and_flattening(text, root):
+    assert parse(text).root == root
+
+
+def test_parse_builds_one_operator_per_same_operator_run(monkeypatch):
+    built = []
+    monkeypatch.setattr(Operator, "__post_init__", lambda self: built.append(self.op))
+    parse("a OR b OR c OR (d AND e AND f) OR g NOT h NOT a")
+    assert built == [Op.AND, Op.OR, Op.NOT, Op.NOT]
+
+
 def test_field_tag_spellings_canonicalize():
     for raw, kind in [
         ("MeSH", FieldKind.MESH_EXPLODED),
@@ -248,6 +273,14 @@ def test_field_tag_spacing_and_case_variants():
     assert FieldTag.from_raw(" MeSH\t Terms:NoExp ") == FieldTag(FieldKind.MESH_NOEXP)
     assert FieldTag.from_raw("TIAB") == FieldTag(FieldKind.TITLE_ABSTRACT)
     assert FieldTag.from_raw(" Foo  Bar ") == FieldTag(FieldKind.OTHER, "Foo  Bar")
+
+
+def test_field_tag_keeps_only_recognised_spellings():
+    first = FieldTag.from_raw(" TiAb ")
+    assert FieldTag.from_raw(" TiAb ") is first is query_ast._TAG_ALIASES["tiab"]
+    assert query_ast._TAG_BY_RAW[" TiAb "] is first
+    assert FieldTag.from_raw("Model Tag 7") == FieldTag(FieldKind.OTHER, "Model Tag 7")
+    assert "Model Tag 7" not in query_ast._TAG_BY_RAW
 
 
 def test_unknown_tag_becomes_other():
