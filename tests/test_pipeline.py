@@ -893,6 +893,17 @@ def test_pipeline_is_deterministic_end_to_end(tmp_path):
     assert strip_timestamps(Path(cfg_a.runlog)) == strip_timestamps(Path(cfg_b.runlog))
 
 
+GRID_Q1_ANSWERS = (
+    "(thyroid[tiab] AND screening[tiab])", "(thyroid[tiab] OR cancer[tiab])",
+    "(liver[tiab] AND fibrosis[tiab])", "(liver[tiab] OR ultrasound[tiab])",
+    "(influenza[tiab] AND rapid[tiab])", "(influenza[tiab] OR test*[tiab])")
+# CD900001's second run gets four answers without a query and fails.
+GRID_Q2_ANSWERS = (
+    "(\"Thyroid Neoplasms\"[MeSH] AND autopsy[tiab])", *["no query here"] * 4,
+    "(Liver[MeSH] AND elastography[tiab])", "(Liver Cirrhosis[mesh:noexp])",
+    "(Influenza, Human[MeSH] OR flu[tiab])", "(Unknown Thing[MeSH] OR children[tiab])")
+
+
 def run_fixture_grid(tmp_path: Path) -> AppConfig:
     """Every stage over the fixture collection, two runs per topic, with
     scripted answers that reach each record outcome: ok, generation error,
@@ -904,14 +915,8 @@ def run_fixture_grid(tmp_path: Path) -> AppConfig:
 
     def script(*answers):
         return MockBackend(script=list(answers))
-    cmd_formulate(cfg, "q1", backend=script(
-        "(thyroid[tiab] AND screening[tiab])", "(thyroid[tiab] OR cancer[tiab])",
-        "(liver[tiab] AND fibrosis[tiab])", "(liver[tiab] OR ultrasound[tiab])",
-        "(influenza[tiab] AND rapid[tiab])", "(influenza[tiab] OR test*[tiab])"))
-    cmd_formulate(cfg, "q2", backend=script(
-        "(\"Thyroid Neoplasms\"[MeSH] AND autopsy[tiab])", *["no query here"] * 4,
-        "(Liver[MeSH] AND elastography[tiab])", "(Liver Cirrhosis[mesh:noexp])",
-        "(Influenza, Human[MeSH] OR flu[tiab])", "(Unknown Thing[MeSH] OR children[tiab])"))
+    cmd_formulate(cfg, "q1", backend=script(*GRID_Q1_ANSWERS))
+    cmd_formulate(cfg, "q2", backend=script(*GRID_Q2_ANSWERS))
     cmd_formulate(cfg, "q3", backend=script(
         "Sure: (thyroid[ti] AND nodule*[tiab])", "(thyroid[tiab] NOT cancer[tiab])",
         "(liver[tiab] AND hepatitis[tiab])", "(elastography[tiab])",
@@ -970,6 +975,41 @@ GRID_DIGESTS = {
     "report.csv": "8c1ac60bb85fd436c838dd0e42cfc126016414a9ffe4babfb51ed1aa8521244a",
     "per_topic.csv": "3947193d5f59a42e0cbe98043ae7a0ea07de501bf2cd0e61b6f9432defc2d8a8",
     "analysis_report.json": "9e6920c2d1072cb61f61361c26dc10cd411c1cf955b4035d02608c4bbe347740",
+}
+
+
+def test_significance_output_bytes_are_pinned(tmp_path):
+    # The fixture grid writes no significance CSV, because guided's topics
+    # share no id with the others.  This grid leaves guided out, so the
+    # t-tests pair every fixture topic across original, q1, q2 and q4-hqe.
+    cfg = make_config(tmp_path)
+    cfg.runs_per_topic = 2
+    cmd_ingest(cfg)
+    cmd_formulate(cfg, "q1", backend=MockBackend(script=list(GRID_Q1_ANSWERS)))
+    cmd_formulate(cfg, "q2", backend=MockBackend(script=list(GRID_Q2_ANSWERS)))
+    cmd_formulate(cfg, "q4", "hqe")
+    cmd_execute(cfg)
+    cmd_evaluate(cfg)
+    report = cmd_analyze(cfg)
+    cmd_report(cfg)
+    assert {metric: sig["paired_topics"] for metric, sig in report["significance"].items()} == {
+        "precision": 3, "recall": 3, "f1": 3, "f3": 3}
+    outputs = [f"significance_{m}.csv" for m in ("precision", "recall", "f1", "f3")]
+    outputs += ["analysis_report.json", "report.csv"]
+    assert {name: hashlib.sha256(
+                (Path(cfg.report_dir) / name).read_text().replace(str(tmp_path), "<tmp>")
+                .encode("utf-8")).hexdigest()
+            for name in outputs} == SIGNIFICANCE_DIGESTS
+
+
+SIGNIFICANCE_DIGESTS = {
+    "significance_precision.csv":
+        "c95469ab2ae863f1bd5c9644d78dea6c30336e2410fe1604c76b87fc8b2faa4c",
+    "significance_recall.csv": "e55c313a7920ca4033c358aebae6a4d9acc3b50b6397c0205903f7f45dc36066",
+    "significance_f1.csv": "b4343d59fcb7aed22b46d9443190cba012e2700929d350d71d9bc33929368902",
+    "significance_f3.csv": "6b00ba124a2aa431bc2166d6a5da2909bdeb64d3cff27e85211b3417c117e6ac",
+    "analysis_report.json": "5ba09bc5d7e0f847c8f14d4efe2eb5adbe108fad7f6429e8f583ae0caea7194b",
+    "report.csv": "54a51f67de0b17cc76f54d9aca177b81b58739c3dc4100f8123dde58949f8afc",
 }
 
 
