@@ -251,9 +251,14 @@ def retrieved_ratio_stats(
         if original <= 0:
             raise ZeroOriginalCountError("original retrieved count must be positive")
         grouped.setdefault(label, []).append(generated / original)
-    import statistics  # here, so that importing srquery does not load it
+    return {label: _median(ratios) for label, ratios in grouped.items()}
 
-    return {label: statistics.median(ratios) for label, ratios in grouped.items()}
+
+def _median(xs: list[float]) -> float:
+    # The floats statistics.median returns, without loading that module.
+    xs = sorted(xs)
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
 
 
 def mesh_validity_ratio(q: Query, vocab: MeshVocab) -> "MeshValidity":

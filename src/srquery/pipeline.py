@@ -12,6 +12,7 @@ one as ok, as skipped (no relevant judgments) or as an error from
 ``RECORDED_ERRORS``; any other exception is a programming error and
 propagates.  Formulate and refine share one single-prompt body,
 ``_single_prompt``.  Only the execute stage writes the result cache.
+Analyze and report read their scores from one table, ``_score_table``.
 """
 
 from __future__ import annotations
@@ -533,25 +534,37 @@ def cmd_evaluate(cfg: AppConfig) -> list[RunRecord]:
 # analyze / report
 # ---------------------------------------------------------------------------
 
-def _metrics_from_record(record: RunRecord) -> Metrics:
-    m = record.metrics or {}
-    return Metrics(
-        precision=m.get("precision", 0.0), recall=m.get("recall", 0.0),
-        f1=m.get("f1", 0.0), f3=m.get("f3", 0.0),
-        retrieved_count=m.get("retrieved_count", 0),
-        relevant_count=m.get("relevant_count", 0), hit_count=m.get("hit_count", 0),
-    )
+_SCORES = ("precision", "recall", "f1", "f3")
 
 
-def _evaluated_by_method(records: list[RunRecord]) -> dict[str, dict[str, dict[int, RunRecord]]]:
-    """method -> topic_id -> run_index -> evaluation record."""
-    out: dict[str, dict[str, dict[int, RunRecord]]] = {}
+def _score_table(records: list[RunRecord], qrels: colls.Qrels
+                 ) -> dict[str, dict[str, dict[int, tuple[RunRecord, Metrics]]]]:
+    """method -> topic_id -> run_index -> (the latest ok evaluation record,
+    its ``Metrics``).  Each topic a method has gets one disposition:
+    evaluated, with its ok runs; a model failure, with no runs, when the
+    method attempted the topic, never evaluated it and the topic has
+    relevant judgments; or left out, when it has none."""
+    table: dict[str, dict[str, dict[int, tuple[RunRecord, Metrics]]]] = {}
+    attempted: dict[str, set[str]] = {}
     for record in records:
-        if record.stage != "evaluate" or record.status != "ok":
-            continue
         method = _method_label(record.prompt_id, record.example_mode, record.seed_source)
-        out.setdefault(method, {}).setdefault(record.topic_id, {})[record.run_index] = record
-    return out
+        if record.stage == "generate":
+            attempted.setdefault(method, set()).add(record.topic_id)
+        elif record.stage == "evaluate" and record.status == "ok":
+            m = record.metrics or {}
+            metrics = Metrics(
+                precision=m.get("precision", 0.0), recall=m.get("recall", 0.0),
+                f1=m.get("f1", 0.0), f3=m.get("f3", 0.0),
+                retrieved_count=m.get("retrieved_count", 0),
+                relevant_count=m.get("relevant_count", 0), hit_count=m.get("hit_count", 0),
+            )
+            table.setdefault(method, {}).setdefault(record.topic_id, {})[record.run_index] = (
+                record, metrics)
+    for method, topic_ids in attempted.items():
+        for topic_id in sorted(topic_ids - set(table.get(method, ()))):
+            if qrels.relevant_for(topic_id):
+                table.setdefault(method, {})[topic_id] = {}
+    return table
 
 
 def cmd_analyze(cfg: AppConfig) -> dict:
@@ -566,9 +579,15 @@ def cmd_analyze(cfg: AppConfig) -> dict:
     problems = check_integrity(all_records, trees)
     if problems:
         log.warning("run log integrity problems: %s", problems)
-    by_method = _evaluated_by_method(all_records)
     qrels = cfg.load_qrels()
     vocab = cfg.load_vocab()
+    # Analysis reads the evaluated topics only: a model failure has no run
+    # to select, classify or test.
+    by_method = {}
+    for method, topics in _score_table(all_records, qrels).items():
+        evaluated = {topic_id: runs for topic_id, runs in topics.items() if runs}
+        if evaluated:
+            by_method[method] = evaluated
 
     generated_queries: dict[str, str] = {
         r.run_id: r.query for r in all_records if r.stage == "generate" and r.query
@@ -583,28 +602,26 @@ def cmd_analyze(cfg: AppConfig) -> dict:
         method_report: dict = {}
 
         # Oracle run per topic, then the success/failure classification
-        # against the original query's effectiveness.
+        # against the original query's effectiveness and the MeSH validity
+        # of the oracle query.
         classes: dict[str, str] = {}
         ratio_pairs: list[tuple[int, int]] = []
         ratio_labels: list[TopicClass] = []
         unjudged: dict[str, float] = {}
-        oracle_runs: dict[str, RunRecord] = {}
+        mesh_counts, invalid = [], []
         series_list = [
-            RunSeries(topic_id, tuple(
-                RunResult(idx, _metrics_from_record(rec)) for idx, rec in sorted(runs.items())
-            ))
+            RunSeries(topic_id, tuple(RunResult(idx, m) for idx, (_, m) in sorted(runs.items())))
             for topic_id, runs in sorted(topics.items())
         ]
         for series in series_list:
             topic_id = series.topic_id
             oracle = oracle_select(series)
-            oracle_record = topics[topic_id][oracle.run_index]
-            oracle_runs[topic_id] = oracle_record
-            pmids = ez.load_cached_result(cfg.cache_dir, oracle_record.query_digest)
+            record = topics[topic_id][oracle.run_index][0]
+            pmids = ez.load_cached_result(cfg.cache_dir, record.query_digest)
             if pmids:
                 unjudged[topic_id] = unjudged_fraction(set(pmids), qrels, topic_id)
-            if topic_id in original and 0 in original[topic_id]:
-                original_metrics = _metrics_from_record(original[topic_id][0])
+            if 0 in original.get(topic_id, {}):
+                original_metrics = original[topic_id][0][1]
                 cls = classify_topic(oracle.metrics, original_metrics)
                 classes[topic_id] = cls.value
                 if original_metrics.retrieved_count > 0:
@@ -612,6 +629,12 @@ def cmd_analyze(cfg: AppConfig) -> dict:
                         (oracle.metrics.retrieved_count, original_metrics.retrieved_count)
                     )
                     ratio_labels.append(cls)
+            text = generated_queries.get(record.parent_run_id.split(":", 2)[-1]) or record.query
+            if vocab is not None and text:
+                # A text that does not parse has no tree; parsing it raises.
+                validity = mesh_validity_ratio(trees[text] if text in trees else parse(text), vocab)
+                mesh_counts.append(validity.mesh_count)
+                invalid.append(validity.invalid_fraction * validity.mesh_count)
         method_report["topic_classes"] = classes
         if ratio_pairs:
             medians = retrieved_ratio_stats(ratio_pairs, ratio_labels)
@@ -619,32 +642,18 @@ def cmd_analyze(cfg: AppConfig) -> dict:
                 cls.value: round(v, 4) for cls, v in medians.items()
             }
         method_report["unjudged_fraction"] = {t: round(v, 4) for t, v in sorted(unjudged.items())}
-
-        # MeSH validity over the oracle queries.
         if vocab is not None:
-            counts, invalid = [], []
-            for record in oracle_runs.values():
-                text = generated_queries.get(record.parent_run_id.split(":", 2)[-1]) or record.query
-                if not text:
-                    continue
-                # A text that does not parse has no tree; parsing it raises.
-                tree = trees[text] if text in trees else parse(text)
-                validity = mesh_validity_ratio(tree, vocab)
-                counts.append(validity.mesh_count)
-                invalid.append(validity.invalid_fraction * validity.mesh_count)
-            total = sum(counts)
+            total = sum(mesh_counts)
             method_report["mesh_terms_per_query"] = (
-                round(sum(counts) / len(counts), 4) if counts else 0.0
+                round(total / len(mesh_counts), 4) if mesh_counts else 0.0
             )
-            method_report["invalid_mesh_fraction"] = (
-                round(sum(invalid) / total, 4) if total else 0.0
-            )
+            method_report["invalid_mesh_fraction"] = round(sum(invalid) / total, 4) if total else 0.0
 
         # Across-run variability (needs >= 2 aligned runs per topic).
         run_sets = {frozenset(runs) for runs in topics.values()}
         if len(run_sets) == 1 and len(next(iter(run_sets))) >= 2:
             variability = {}
-            for metric in ("precision", "recall", "f1", "f3"):
+            for metric in _SCORES:
                 summary = variability_summary(series_list, metric)
                 variability[metric] = {
                     "mean": summary.mean,
@@ -659,20 +668,14 @@ def cmd_analyze(cfg: AppConfig) -> dict:
         report["methods"][method] = method_report
 
     # Significance matrices over per-topic mean scores, one CSV per metric.
-    for metric in ("precision", "recall", "f1", "f3"):
-        common_topics: Optional[set[str]] = None
-        for topics in by_method.values():
-            ids = set(topics)
-            common_topics = ids if common_topics is None else common_topics & ids
-        if not common_topics or len(common_topics) < 2 or len(by_method) < 2:
-            continue
-        scores = {}
-        for method, topics in by_method.items():
-            scores[method] = [
-                float(sum(getattr(_metrics_from_record(rec), metric) for rec in topics[t].values())
-                      / len(topics[t]))
-                for t in sorted(common_topics)
-            ]
+    # The t-tests pair only the topics that every method evaluated.
+    common_topics = sorted(set.intersection(*map(set, by_method.values()))) if by_method else []
+    for metric in _SCORES if len(by_method) >= 2 and len(common_topics) >= 2 else ():
+        scores = {
+            method: [sum(getattr(m, metric) for _, m in topics[t].values()) / len(topics[t])
+                     for t in common_topics]
+            for method, topics in by_method.items()
+        }
         methods, cells, m = significance_matrix(scores)
         path = Path(cfg.report_dir) / f"significance_{metric}.csv"
         with open(path, "w", newline="", encoding="utf-8") as f:
@@ -704,55 +707,36 @@ def cmd_report(cfg: AppConfig) -> Path:
     """Write per-topic scores and the per-method macro-average table
     (Precision, F1, F3, Recall column order).
 
-    Topics whose generation or execution failed count as zeros in the
-    averages; topics with no relevant judgments are excluded entirely.
+    A topic a method attempted but never evaluated counts as zero in its
+    average; topics with no relevant judgments are excluded entirely.
     """
     cfg.ensure_dirs()
-    records = read_records(cfg.runlog)
-    by_method = _evaluated_by_method(records)
-    qrels = cfg.load_qrels()
+    table = _score_table(read_records(cfg.runlog), cfg.load_qrels())
 
-    # Topics each method attempted, for zero-filling failures.
-    attempted: dict[str, set[str]] = {}
-    for record in records:
-        if record.stage == "generate":
-            method = _method_label(record.prompt_id, record.example_mode, record.seed_source)
-            attempted.setdefault(method, set()).add(record.topic_id)
-
+    # per_topic.csv lists the evaluated runs; a model failure has none.
     per_topic_path = Path(cfg.report_dir) / "per_topic.csv"
     with open(per_topic_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["topic_id", "prompt_id", "run_index", "precision", "f1", "f3", "recall"])
-        for method, topics in sorted(by_method.items()):
+        for method, topics in sorted(table.items()):
             for topic_id, runs in sorted(topics.items()):
-                for run_index, record in sorted(runs.items()):
-                    m = record.metrics or {}
+                for run_index, (_, m) in sorted(runs.items()):
                     writer.writerow([
                         topic_id, method, run_index,
-                        f"{m.get('precision', 0.0):.6f}", f"{m.get('f1', 0.0):.6f}",
-                        f"{m.get('f3', 0.0):.6f}", f"{m.get('recall', 0.0):.6f}",
+                        f"{m.precision:.6f}", f"{m.f1:.6f}", f"{m.f3:.6f}", f"{m.recall:.6f}",
                     ])
 
+    # A topic with no evaluated run is a model failure, which scores zero.
     zero = Metrics(0.0, 0.0, 0.0, 0.0)
     report_path = Path(cfg.report_dir) / "report.csv"
     with open(report_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["method", "topics", "precision", "f1", "f3", "recall"])
-        for method in sorted(set(by_method) | set(attempted)):
-            topics = by_method.get(method, {})
-            per_topic = []
-            for topic_id, runs in sorted(topics.items()):
-                per_run = [_metrics_from_record(rec) for _, rec in sorted(runs.items())]
-                per_topic.append(macro_average(per_run))
-            # Failed topics score zero, provided they were evaluable at all.
-            for topic_id in sorted(attempted.get(method, set()) - set(topics)):
-                if qrels.relevant_for(topic_id):
-                    per_topic.append(zero)
-            if not per_topic:
-                continue
-            agg = macro_average(per_topic)
+        for method, topics in sorted(table.items()):
+            agg = macro_average(macro_average(m for _, m in runs.values()) if runs else zero
+                                for runs in topics.values())
             writer.writerow([
-                method, len(per_topic),
+                method, len(topics),
                 f"{agg.precision:.6f}", f"{agg.f1:.6f}", f"{agg.f3:.6f}", f"{agg.recall:.6f}",
             ])
     return report_path

@@ -231,6 +231,20 @@ def test_ratio_median_permutation_invariant():
     assert base == shuffled
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 10**6)), min_size=1, max_size=40),
+       st.lists(st.sampled_from(list(TopicClass)), min_size=40, max_size=40))
+def test_ratio_median_equals_statistics_median(pairs, labels):
+    import statistics  # the reference; the library does not load it
+
+    labels = labels[:len(pairs)]
+    grouped = {}
+    for (generated, original), label in zip(pairs, labels):
+        grouped.setdefault(label, []).append(generated / original)
+    assert retrieved_ratio_stats(pairs, labels) == {
+        label: statistics.median(ratios) for label, ratios in grouped.items()}
+
+
 def test_ratio_zero_original_count():
     with pytest.raises(ZeroOriginalCountError):
         retrieved_ratio_stats([(5, 0)], [TopicClass.NEUTRAL])
