@@ -75,36 +75,25 @@ _BETACF_TOL = 1e-10
 _BETACF_TINY = 1e-300
 
 
+def _nonzero(v: float) -> float:
+    return _BETACF_TINY if abs(v) < _BETACF_TINY else v
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     # Modified Lentz evaluation of the continued fraction for I_x(a, b).
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETACF_TINY:
-        d = _BETACF_TINY
-    d = 1.0 / d
+    d = 1.0 / _nonzero(1.0 - qab * x / qap)
     h = d
     for m in range(1, 500):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_TINY:
-            d = _BETACF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_TINY:
-            c = _BETACF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_TINY:
-            d = _BETACF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_TINY:
-            c = _BETACF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # The even step, then the odd step, after which convergence is tested.
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _nonzero(1.0 + aa * d)
+            c = _nonzero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETACF_TOL:
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")

@@ -5,7 +5,8 @@ Canonical on-disk formats:
 
 * ``topics.jsonl`` — one JSON object per line:
   ``{"topic_id", "title", "original_query"?,
-  "seed_studies": [{"pmid", "title", "abstract"}]?}``
+  "seed_studies": [{"pmid", "title", "abstract"}]?}``; a seed study's
+  ``title`` and ``abstract`` are strings or null
 * ``qrels.txt`` — TREC format, whitespace separated: ``topic 0 pmid rel``
 * ``corpus.jsonl`` — ``{"pmid", "title", "abstract", "mesh": [...],
   "pub_types": [...]}``; ``abstract`` is a string or null, and ``mesh`` and
@@ -190,6 +191,13 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
             yield line_no, obj
 
 
+def _text(value, what: str, path, line_no: int) -> str:
+    """A string field's value; null or missing reads as ``""``."""
+    if value is not None and not isinstance(value, str):
+        raise MalformedLineError(path, line_no, f"{what} must be a string or null")
+    return value or ""
+
+
 # ---------------------------------------------------------------------------
 # Topics
 # ---------------------------------------------------------------------------
@@ -199,7 +207,9 @@ def _parse_seed_studies(raw, path, line_no) -> tuple[SeedStudy, ...]:
     if not isinstance(raw, list) or not all(isinstance(e, dict) and "pmid" in e for e in raw):
         raise MalformedLineError(path, line_no, "seed_studies must be objects with a pmid")
     return tuple(
-        SeedStudy(pmid=str(e["pmid"]), title=e.get("title", ""), abstract=e.get("abstract", ""))
+        SeedStudy(pmid=str(e["pmid"]),
+                  title=_text(e.get("title"), "seed study title", path, line_no),
+                  abstract=_text(e.get("abstract"), "seed study abstract", path, line_no))
         for e in raw
     )
 
@@ -285,17 +295,15 @@ def iter_corpus(path) -> Iterator[CorpusDoc]:
         if pmid in seen:
             raise MalformedLineError(path, line_no, f"duplicate pmid {pmid!r}")
         seen.add(pmid)
-        abstract = obj.get("abstract")
+        abstract = _text(obj.get("abstract"), "abstract", path, line_no)
         mesh, pub_types = obj.get("mesh", []), obj.get("pub_types", [])
-        if abstract is not None and not isinstance(abstract, str):
-            raise MalformedLineError(path, line_no, "abstract must be a string or null")
         for key, tags in (("mesh", mesh), ("pub_types", pub_types)):
             if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
                 raise MalformedLineError(path, line_no, f"{key} must be a list of strings")
         yield CorpusDoc(
             pmid=pmid,
             title=obj["title"],
-            abstract=abstract or "",
+            abstract=abstract,
             mesh_terms=tuple(mesh),
             pub_types=tuple(pub_types),
         )

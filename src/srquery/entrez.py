@@ -66,7 +66,7 @@ class EntrezConfig:
             raise ValueError(f"retmax must be in [1, {MAX_RETMAX}]")
         limit = self.rate_limit
         if limit is not None:
-            cap = 10.0 if self.effective_api_key() else 3.0
+            cap = self._ncbi_rate()
             if limit <= 0 or limit > cap:
                 raise ValueError(
                     f"rate_limit must be in (0, {cap}] "
@@ -76,10 +76,11 @@ class EntrezConfig:
     def effective_api_key(self) -> Optional[str]:
         return self.api_key or os.environ.get("NCBI_API_KEY") or None
 
-    def effective_rate(self) -> float:
-        if self.rate_limit is not None:
-            return self.rate_limit
+    def _ncbi_rate(self) -> float:
         return 10.0 if self.effective_api_key() else 3.0
+
+    def effective_rate(self) -> float:
+        return self.rate_limit if self.rate_limit is not None else self._ncbi_rate()
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +174,5 @@ def entrez_search(
                 translation,
             )
         retstart += cfg.retmax
-        if count == 0:
-            break
 
     return set(pmids)

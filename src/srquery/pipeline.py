@@ -221,6 +221,13 @@ def _run_cells(cfg: AppConfig, groups: list[list[tuple[dict, Callable[[], dict]]
     return [record for batch in batches for record in batch]
 
 
+def _derived(parent: RunRecord, **fields) -> dict:
+    """``fields`` with the parent's five cell fields and a link to it."""
+    return dict(topic_id=parent.topic_id, prompt_id=parent.prompt_id,
+                example_mode=parent.example_mode, seed_source=parent.seed_source,
+                run_index=parent.run_index, parent_run_id=parent.run_id, **fields)
+
+
 def _example_pool(topics: list[colls.ReviewTopic]) -> list[ExampleReview]:
     pool = []
     for topic in topics:
@@ -493,10 +500,7 @@ def cmd_execute(cfg: AppConfig, backend=None) -> list[RunRecord]:
 
     # One group: executions run in log order, so Entrez sees one request at a time.
     records = _run_cells(cfg, [[
-        (dict(run_id=prefix + gen.run_id, stage="execute", topic_id=gen.topic_id,
-              prompt_id=gen.prompt_id, example_mode=gen.example_mode,
-              seed_source=gen.seed_source, run_index=gen.run_index,
-              backend=cfg.execution_backend, parent_run_id=gen.run_id),
+        (_derived(gen, run_id=prefix + gen.run_id, stage="execute", backend=cfg.execution_backend),
          partial(execute, gen, query))
         for gen, query in zip(pending, queries)
     ]], existing)
@@ -518,11 +522,8 @@ def cmd_evaluate(cfg: AppConfig) -> list[RunRecord]:
         return dict(metrics=asdict(evaluate_topic(set(pmids), qrels, ex.topic_id)))
 
     records = _run_cells(cfg, [[
-        (dict(run_id=f"eval:{ex.run_id}", stage="evaluate", topic_id=ex.topic_id,
-              prompt_id=ex.prompt_id, example_mode=ex.example_mode,
-              seed_source=ex.seed_source, run_index=ex.run_index,
-              query_digest=ex.query_digest, retrieved_count=ex.retrieved_count,
-              parent_run_id=ex.run_id),
+        (_derived(ex, run_id=f"eval:{ex.run_id}", stage="evaluate",
+                  query_digest=ex.query_digest, retrieved_count=ex.retrieved_count),
          partial(evaluate, ex))
         for ex in logged if ex.stage == "execute" and ex.status == "ok"
     ]], {r.run_id for r in logged})
@@ -534,7 +535,17 @@ def cmd_evaluate(cfg: AppConfig) -> list[RunRecord]:
 # analyze / report
 # ---------------------------------------------------------------------------
 
-_SCORES = ("precision", "recall", "f1", "f3")
+# The metrics analyze tests, and report's score columns in the paper's order.
+_SCORES = ("precision", "f1", "f3", "recall")
+
+
+def _score_cells(m: Metrics) -> list[str]:
+    return [f"{getattr(m, score):.6f}" for score in _SCORES]
+
+
+def _write_csv(path: Path, rows: list[list]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows(rows)
 
 
 def _score_table(records: list[RunRecord], qrels: colls.Qrels
@@ -589,9 +600,8 @@ def cmd_analyze(cfg: AppConfig) -> dict:
         if evaluated:
             by_method[method] = evaluated
 
-    generated_queries: dict[str, str] = {
-        r.run_id: r.query for r in all_records if r.stage == "generate" and r.query
-    }
+    # An evaluation's parent is its execute record, which carries the query.
+    executed = {r.run_id: r.query for r in all_records if r.stage == "execute"}
 
     report: dict = {"methods": {}, "significance": {}}
     original = by_method.get("original", {})
@@ -629,7 +639,7 @@ def cmd_analyze(cfg: AppConfig) -> dict:
                         (oracle.metrics.retrieved_count, original_metrics.retrieved_count)
                     )
                     ratio_labels.append(cls)
-            text = generated_queries.get(record.parent_run_id.split(":", 2)[-1]) or record.query
+            text = executed.get(record.parent_run_id, "")
             if vocab is not None and text:
                 # A text that does not parse has no tree; parsing it raises.
                 validity = mesh_validity_ratio(trees[text] if text in trees else parse(text), vocab)
@@ -654,13 +664,10 @@ def cmd_analyze(cfg: AppConfig) -> dict:
         if len(run_sets) == 1 and len(next(iter(run_sets))) >= 2:
             variability = {}
             for metric in _SCORES:
-                summary = variability_summary(series_list, metric)
-                variability[metric] = {
-                    "mean": summary.mean,
-                    "variance": summary.variance,
-                    "variance_to_mean_ratio": summary.variance_to_mean_ratio,
-                    "per_topic_quartiles": summary.per_topic_quartiles,
-                }
+                # A shallow copy: asdict would deep-copy every quartile.
+                entry = dict(vars(variability_summary(series_list, metric)))
+                del entry["metric"]
+                variability[metric] = entry
             method_report["variability"] = variability
         else:
             method_report["variability"] = "unavailable (needs >= 2 aligned runs per topic)"
@@ -677,19 +684,18 @@ def cmd_analyze(cfg: AppConfig) -> dict:
             for method, topics in by_method.items()
         }
         methods, cells, m = significance_matrix(scores)
+        rows = [["method"] + methods]
+        for row_method in methods:
+            row = [row_method]
+            for col in methods:
+                if row_method == col:
+                    row.append("")
+                else:
+                    cell = cells[(row_method, col)]
+                    row.append("degenerate" if cell is None else f"{cell:.6f}")
+            rows.append(row)
         path = Path(cfg.report_dir) / f"significance_{metric}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["method"] + methods)
-            for row_method in methods:
-                row = [row_method]
-                for col in methods:
-                    if row_method == col:
-                        row.append("")
-                    else:
-                        cell = cells[(row_method, col)]
-                        row.append("degenerate" if cell is None else f"{cell:.6f}")
-                writer.writerow(row)
+        _write_csv(path, rows)
         report["significance"][metric] = {
             "csv": str(path),
             "bonferroni_m": m,
@@ -714,29 +720,18 @@ def cmd_report(cfg: AppConfig) -> Path:
     table = _score_table(read_records(cfg.runlog), cfg.load_qrels())
 
     # per_topic.csv lists the evaluated runs; a model failure has none.
-    per_topic_path = Path(cfg.report_dir) / "per_topic.csv"
-    with open(per_topic_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["topic_id", "prompt_id", "run_index", "precision", "f1", "f3", "recall"])
-        for method, topics in sorted(table.items()):
-            for topic_id, runs in sorted(topics.items()):
-                for run_index, (_, m) in sorted(runs.items()):
-                    writer.writerow([
-                        topic_id, method, run_index,
-                        f"{m.precision:.6f}", f"{m.f1:.6f}", f"{m.f3:.6f}", f"{m.recall:.6f}",
-                    ])
-
     # A topic with no evaluated run is a model failure, which scores zero.
     zero = Metrics(0.0, 0.0, 0.0, 0.0)
+    per_topic = [["topic_id", "prompt_id", "run_index", *_SCORES]]
+    averages = [["method", "topics", *_SCORES]]
+    for method, topics in sorted(table.items()):
+        for topic_id, runs in sorted(topics.items()):
+            for run_index, (_, m) in sorted(runs.items()):
+                per_topic.append([topic_id, method, run_index, *_score_cells(m)])
+        agg = macro_average(macro_average(m for _, m in runs.values()) if runs else zero
+                            for runs in topics.values())
+        averages.append([method, len(topics), *_score_cells(agg)])
+    _write_csv(Path(cfg.report_dir) / "per_topic.csv", per_topic)
     report_path = Path(cfg.report_dir) / "report.csv"
-    with open(report_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["method", "topics", "precision", "f1", "f3", "recall"])
-        for method, topics in sorted(table.items()):
-            agg = macro_average(macro_average(m for _, m in runs.values()) if runs else zero
-                                for runs in topics.values())
-            writer.writerow([
-                method, len(topics),
-                f"{agg.precision:.6f}", f"{agg.f1:.6f}", f"{agg.f3:.6f}", f"{agg.recall:.6f}",
-            ])
+    _write_csv(report_path, averages)
     return report_path

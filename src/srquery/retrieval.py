@@ -49,7 +49,8 @@ for may miss documents.
 The oracle (:func:`execute_naive`, ``_doc_term_match``, ``_phrase_at``,
 ``_exploded_names`` and :func:`explode_mesh`) re-tokenizes every document
 for every term and scans windows and descriptors one by one.  It shares no
-matching code with the index, so it stays an independent specification.
+matching code with the index (``_mesh_key`` only normalises a document's
+MeSH tags), so it stays an independent specification.
 """
 
 from __future__ import annotations
@@ -110,6 +111,12 @@ def _separated(text: str) -> str:
 def tokenize(text: str) -> list[str]:
     """The maximal runs of ``[a-z0-9]`` in the lowercased text."""
     return _separated(text).split()
+
+
+def _mesh_key(vocab: Optional[MeshVocab], name: str) -> str:
+    """The key both engines give a document's MeSH tag."""
+    descriptor = vocab.lookup(name) if vocab is not None else None
+    return descriptor.name.lower() if descriptor is not None else name.strip().lower()
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +235,7 @@ def build_index(
                 postings[field][tok].append(pmid)
         for tag in doc.mesh_terms:
             if tag not in canonical:
-                descriptor = vocab.lookup(tag) if vocab is not None else None
-                name = (descriptor.name if descriptor is not None else tag).lower()
+                name = _mesh_key(vocab, tag)
                 canonical[tag] = (name, *scan(name, always_store=True))
         entries = [canonical[tag] for tag in doc.mesh_terms]
         mesh_names[pmid] = tuple(spaced for _, spaced, _ in entries)
@@ -417,13 +423,7 @@ def _doc_term_match(doc: CorpusDoc, term: Term, vocab: Optional[MeshVocab]) -> b
             for p in doc.pub_types
         )
 
-    doc_names = {m.strip().lower() for m in doc.mesh_terms}
-    if vocab is not None:
-        canonical = set()
-        for m in doc.mesh_terms:
-            descriptor = vocab.lookup(m)
-            canonical.add(descriptor.name.lower() if descriptor else m.strip().lower())
-        doc_names = canonical
+    doc_names = {_mesh_key(vocab, m) for m in doc.mesh_terms}
     key = term.text.strip().lower()
     if term.truncated:
         return any(n.startswith(key) for n in doc_names)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import sys
+import threading
+from contextlib import contextmanager
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,19 @@ def corpus(fixture_dir):
 @pytest.fixture(scope="session")
 def vocab(fixture_dir):
     return load_mesh(fixture_dir / "mesh.tsv")
+
+
+@contextmanager
+def stub_server(handler):
+    """Serve ``handler`` on a free local port from a daemon thread and yield
+    the base URL; shut the server down on exit.  ``serve_forever`` checks for
+    a shutdown request once per poll interval, so a short one keeps each
+    teardown from waiting up to the default half second."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                     daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()

@@ -187,9 +187,15 @@ def _hard_text(rng: random.Random, max_tokens: int) -> str:
     return " ".join(rng.choices(HARD_TOKENS, k=rng.randint(0, max_tokens)))
 
 
+def _padded(rng: random.Random, name: str) -> str:
+    """The name, at times with spaces before or after it, as raw tags come."""
+    return " " * rng.choice((0, 0, 1, 2)) + name + " " * rng.choice((0, 0, 1, 2))
+
+
 def random_hard_corpus(rng: random.Random, vocab: MeshVocab, max_docs: int = 60) -> Corpus:
     """Titles and abstracts over HARD_TOKENS, often shorter than a phrase;
-    MeSH tags from the tree plus one name the vocabulary lacks."""
+    MeSH tags from the tree plus one name the vocabulary lacks, some of
+    either padded with spaces."""
     names = mesh_names(vocab) + ["Unlisted Ab"]
     docs = {}
     for i in range(rng.randint(1, max_docs)):
@@ -198,7 +204,7 @@ def random_hard_corpus(rng: random.Random, vocab: MeshVocab, max_docs: int = 60)
             pmid=pmid,
             title=_hard_text(rng, 4),
             abstract=_hard_text(rng, 12),
-            mesh_terms=tuple(rng.sample(names, k=rng.randint(0, 4))),
+            mesh_terms=tuple(_padded(rng, name) for name in rng.sample(names, k=rng.randint(0, 4))),
             pub_types=tuple(rng.sample(HARD_PUB_TYPES, k=rng.randint(0, 2))),
         )
     return Corpus(docs)

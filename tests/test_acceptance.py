@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from scipy import stats as scipy_stats
 
+from conftest import stub_server
 from randgen import fixture_vocab, random_corpus, random_query, random_retrieval_query, random_term
 from srquery.analysis import (
     DegenerateVarianceError,
@@ -230,22 +231,15 @@ def test_c09_prompt_fidelity():
 
 def test_c10_entrez_client(tmp_path):
     # Pagination arithmetic against the offline stub server.
-    server = entrez_stubs.ThreadingHTTPServer(("127.0.0.1", 0), entrez_stubs._EsearchStub)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with stub_server(entrez_stubs._EsearchStub) as url:
         entrez_stubs._EsearchStub.count = 25_000
         entrez_stubs._EsearchStub.error = None
         entrez_stubs._EsearchStub.status = 200
         entrez_stubs._EsearchStub.requests_seen = []
-        cfg = EntrezConfig(base_url=f"http://127.0.0.1:{server.server_port}",
-                           retmax=10_000, rate_limit=3.0)
+        cfg = EntrezConfig(base_url=url, retmax=10_000, rate_limit=3.0)
         pmids = entrez_search(parse("trial[pt]"), cfg, limiter=RateLimiter(10_000))
         assert len(entrez_stubs._EsearchStub.requests_seen) == 3
         assert len(pmids) == 25_000
-    finally:
-        server.shutdown()
-        server.server_close()
 
     # Limiter never exceeds the configured rate under 8 concurrent callers.
     rate = 200.0

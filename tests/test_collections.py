@@ -67,6 +67,9 @@ TOPIC_FIELD_ERRORS = {
     "non-string-query": '{"topic_id":"CD1","title":"one","original_query":5}',
     "non-object-study": '{"topic_id":"CD1","title":"one","seed_studies":[5]}',
     "studies-not-a-list": '{"topic_id":"CD1","title":"one","seed_studies":{"pmid":"1"}}',
+    "non-string-seed-title": '{"topic_id":"CD1","title":"one","seed_studies":[{"pmid":"1","title":5}]}',
+    "non-string-seed-abstract":
+        '{"topic_id":"CD1","title":"one","seed_studies":[{"pmid":"1","abstract":["a"]}]}',
 }
 
 

@@ -3,12 +3,13 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 import pytest
 
+from conftest import stub_server
 from srquery.entrez import (
     ApiError,
     EntrezConfig,
@@ -71,20 +72,16 @@ class _EsearchStub(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def esearch_stub():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _EsearchStub)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _EsearchStub.count = 0
-    _EsearchStub.error = None
-    _EsearchStub.status = 200
-    _EsearchStub.fail_once = None
-    _EsearchStub.retry_after = None
-    _EsearchStub.raw_body = None
-    _EsearchStub.requests_seen = []
-    yield f"http://127.0.0.1:{server.server_port}"
-    _EsearchStub.raw_body = None  # some callers configure the stub by hand
-    server.shutdown()
-    server.server_close()
+    with stub_server(_EsearchStub) as url:
+        _EsearchStub.count = 0
+        _EsearchStub.error = None
+        _EsearchStub.status = 200
+        _EsearchStub.fail_once = None
+        _EsearchStub.retry_after = None
+        _EsearchStub.raw_body = None
+        _EsearchStub.requests_seen = []
+        yield url
+        _EsearchStub.raw_body = None  # some callers configure the stub by hand
 
 
 QUERY = parse('("heart attack"[tiab] OR infarct*[Title]) AND trial[pt]')

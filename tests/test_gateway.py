@@ -1,10 +1,11 @@
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
 
+from conftest import stub_server
 from srquery.collections import ReviewTopic, SeedStudy
 from srquery.gateway import (
     BackendConfig,
@@ -160,14 +161,10 @@ class _ChatStub(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def chat_stub():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatStub)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _ChatStub.responses = []
-    _ChatStub.seen = []
-    yield f"http://127.0.0.1:{server.server_port}/chat/completions"
-    server.shutdown()
-    server.server_close()
+    with stub_server(_ChatStub) as url:
+        _ChatStub.responses = []
+        _ChatStub.seen = []
+        yield url + "/chat/completions"
 
 
 def _ok_body(text):

@@ -7,11 +7,12 @@ import subprocess
 import sys
 import threading
 from collections import Counter
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
 
+from conftest import stub_server
 from srquery import cli, entrez, pipeline, prompts, runlog
 from srquery.collections import MalformedLineError, Qrels, load_qrels
 from srquery.entrez import EntrezConfig, query_digest
@@ -336,6 +337,25 @@ def test_guided_runs_per_seed_and_flags_missing(tmp_path):
     assert missing.status == "error" and "no seed study" in missing.error
 
 
+def test_guided_records_a_seed_study_with_a_null_abstract(tmp_path):
+    # A null abstract loads as "", so only that topic's session fails.
+    topics = tmp_path / "topics.jsonl"
+    topics.write_text("".join(json.dumps(line) + "\n" for line in [
+        {"topic_id": "SR100", "title": "Thyroid cancer at autopsy",
+         "seed_studies": [{"pmid": "1012", "title": "Autopsy prevalence", "abstract": None}]},
+        {"topic_id": "SR101", "title": "Point of care influenza testing",
+         "seed_studies": [{"pmid": "1011", "title": "Point of care testing",
+                           "abstract": "Rapid antigen tests for influenza."}]},
+    ]))
+    cfg = make_config(tmp_path)
+    cfg.topics = str(topics)
+    records = cmd_guided(cfg, backend=MockBackend(script=guided_script()))
+    assert [(r.run_id, r.status) for r in records] == [
+        ("gen:guided:none:s1011:SR101:r0", "ok"), ("gen:guided:none:s1012:SR100:r0", "error")]
+    assert records[1].error == ("guided session for topic SR100 needs a seed with "
+                                "title and abstract")
+
+
 def test_guided_pipeline_through_evaluation(tmp_path):
     cfg = make_config(tmp_path, topics_file="seed_topics.jsonl")
     backend = MockBackend(script=guided_script() * 3)
@@ -416,10 +436,7 @@ def test_execute_parses_once_and_builds_over_the_queries_that_parsed(tmp_path, m
 def test_execute_entrez_backed_by_stub(tmp_path):
     import test_entrez as stubs
 
-    server = stubs.ThreadingHTTPServer(("127.0.0.1", 0), stubs._EsearchStub)
-    import threading
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
+    with stub_server(stubs._EsearchStub) as url:
         stubs._EsearchStub.count = 7
         stubs._EsearchStub.error = None
         stubs._EsearchStub.status = 200
@@ -427,8 +444,7 @@ def test_execute_entrez_backed_by_stub(tmp_path):
         cfg = make_config(tmp_path)
         cfg.execution_backend = "entrez"
         from srquery.entrez import EntrezConfig
-        cfg.entrez = EntrezConfig(base_url=f"http://127.0.0.1:{server.server_port}",
-                                  retmax=10_000, rate_limit=3.0)
+        cfg.entrez = EntrezConfig(base_url=url, retmax=10_000, rate_limit=3.0)
         cmd_ingest(cfg)
         records = cmd_execute(cfg)
         assert all(r.status == "ok" for r in records)
@@ -437,9 +453,6 @@ def test_execute_entrez_backed_by_stub(tmp_path):
         # One request per distinct query; results now cached on disk.
         assert len(stubs._EsearchStub.requests_seen) == 3
         assert len(list((tmp_path / "cache").glob("*.json"))) == 3
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_entrez_runs_never_read_a_corpus(tmp_path, monkeypatch):
@@ -475,12 +488,9 @@ class _StallingHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stalling_server():
     _StallingHandler.release = threading.Event()
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StallingHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    _StallingHandler.release.set()
-    server.shutdown()
-    server.server_close()
+    with stub_server(_StallingHandler) as url:
+        yield url
+        _StallingHandler.release.set()
 
 
 def test_formulate_records_chat_timeouts_per_topic(tmp_path, stalling_server, monkeypatch):
@@ -877,6 +887,24 @@ def test_analyze_variability_with_multiple_runs(tmp_path):
     quartiles = variability["recall"]["per_topic_quartiles"]
     assert set(quartiles) == {"CD900001", "CD900002", "CD900003"}
     assert all(len(q) == 5 for q in quartiles.values())
+
+
+def test_analyze_pairs_no_methods_over_one_shared_topic(tmp_path):
+    # Each method evaluated two topics, of which one is shared: a paired
+    # t-test needs two pairs, so analyze writes no significance matrix.
+    cfg = make_config(tmp_path)
+    scores = {"precision": 0.5, "recall": 0.5, "f1": 0.5, "f3": 0.5}
+    append_records(cfg.runlog, [
+        RunRecord(run_id=f"eval:{prompt_id}:{topic_id}", stage="evaluate", topic_id=topic_id,
+                  prompt_id=prompt_id, metrics=scores)
+        for prompt_id, topic_ids in (("original", ("CD900001", "CD900002")),
+                                     ("q1", ("CD900001", "CD900003")))
+        for topic_id in topic_ids
+    ])
+    report = cmd_analyze(cfg)
+    assert set(report["methods"]) == {"q1"}
+    assert report["significance"] == {}
+    assert list((tmp_path / "reports").glob("significance_*.csv")) == []
 
 
 def test_analyze_parses_each_distinct_query_text_once(tmp_path, monkeypatch):

@@ -220,6 +220,17 @@ def test_local_equals_naive_on_hard_random_instances():
             assert execute_local(idx, q) == execute_naive(corpus, q, vocab)
 
 
+@pytest.mark.parametrize("vocab", [None, DOT_BOUNDARY_VOCAB], ids=["no-vocab", "vocab-lacks-it"])
+@pytest.mark.parametrize("text", ["Foo[mesh:noexp]", "Foo[MeSH]", "Fo*[MeSH]"])
+def test_a_padded_mesh_tag_matches_in_both_engines(vocab, text):
+    # A tag the vocabulary lacks is keyed by its own name, stripped and
+    # lowercased, in both engines.
+    corpus = Corpus({"p1": CorpusDoc("p1", "t", mesh_terms=(" Foo ",))})
+    q = parse(text)
+    assert execute_naive(corpus, q, vocab) == {"p1"}
+    assert execute_local(build_index(corpus, vocab), q) == {"p1"}
+
+
 def stem_or_hard_term(rng: random.Random, vocab: MeshVocab) -> Term:
     # The hard generator truncates only phrases; a one-token stem such as
     # "ab*" reaches the prefix expansion of a query-driven build.  Only the
