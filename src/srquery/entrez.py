@@ -13,7 +13,6 @@ it was fetched.
 from __future__ import annotations
 
 import datetime as _dt
-import hashlib
 import json
 import logging
 import os
@@ -24,7 +23,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .query_ast import Query, serialize
+from .query_ast import Query, serialize, sha256_hex
 from .ratelimit import HttpError, RateLimiter, request_json
 
 __all__ = [
@@ -88,7 +87,7 @@ class EntrezConfig:
 # ---------------------------------------------------------------------------
 
 def query_digest(term: str) -> str:
-    return hashlib.sha256(term.encode("utf-8")).hexdigest()
+    return sha256_hex(term)
 
 
 def _cache_path(cache_dir, digest: str) -> Path:

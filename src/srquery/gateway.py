@@ -15,7 +15,6 @@ credential taken from ``LLM_API_KEY``, through the shared transport
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -26,7 +25,7 @@ from typing import Optional, Sequence
 
 from .collections import ReviewTopic, SeedStudy
 from .prompts import PromptBindings, render
-from .query_ast import Query, QueryParseError, Term, parse, validate
+from .query_ast import Query, QueryParseError, Term, parse, sha256_hex, validate
 from .ratelimit import HttpError, RateLimiter, request_json
 
 __all__ = [
@@ -143,7 +142,7 @@ class Conversation:
 
 def conversation_digest(conv: Conversation) -> str:
     blob = json.dumps(conv.as_payload(), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256_hex(blob)
 
 
 # ---------------------------------------------------------------------------

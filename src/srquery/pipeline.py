@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
@@ -126,6 +126,7 @@ class AppConfig:
         # that will use them loads them here, in setup, rather than in its
         # first timed request or batch.
         if self.backend.kind == "http" or self.execution_backend == "entrez":
+            import encodings.idna  # noqa: F401 (socket.create_connection's codec)
             import urllib.request  # noqa: F401
         if self.parallelism > 1:  # the package alone defers loading this name
             from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -519,7 +520,8 @@ def cmd_evaluate(cfg: AppConfig) -> list[RunRecord]:
         pmids = ez.load_cached_result(cfg.cache_dir, ex.query_digest)
         if pmids is None:
             raise FileNotFoundError("no cached result for query digest")
-        return dict(metrics=asdict(evaluate_topic(set(pmids), qrels, ex.topic_id)))
+        # A shallow copy: every Metrics field is a scalar, which asdict would deep-copy.
+        return dict(metrics=dict(vars(evaluate_topic(set(pmids), qrels, ex.topic_id))))
 
     records = _run_cells(cfg, [[
         (_derived(ex, run_id=f"eval:{ex.run_id}", stage="evaluate",

@@ -8,7 +8,6 @@ manifest and rendering never alters anything but the named placeholders
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass, fields
@@ -17,7 +16,7 @@ from importlib import resources
 from typing import Callable, Optional, Sequence
 
 from .collections import ReviewTopic
-from .query_ast import parse
+from .query_ast import parse, sha256_hex
 from .retrieval import tokenize
 
 __all__ = [
@@ -121,7 +120,7 @@ def load_manifest() -> dict[str, str]:
 
 
 def template_digest(template: PromptTemplate) -> str:
-    return hashlib.sha256(template.body.encode("utf-8")).hexdigest()
+    return sha256_hex(template.body)
 
 
 # ---------------------------------------------------------------------------

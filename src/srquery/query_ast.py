@@ -25,6 +25,14 @@ from enum import Enum
 from itertools import islice, product
 from typing import Iterator, Optional, Union
 
+try:  # CPython's own SHA-256; hashlib would map OpenSSL's libcrypto for it.
+    from _sha2 import sha256 as _sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 __all__ = [
     "FieldKind",
     "FieldTag",
@@ -44,6 +52,7 @@ __all__ = [
     "MAX_NESTING",
     "parse",
     "serialize",
+    "sha256_hex",
     "validate",
     "extract_mesh_terms",
     "count_clauses",
@@ -413,6 +422,10 @@ def serialize(q: Query) -> str:
     parentheses around every operator node, canonical tag spellings, and
     an explicit ``[All Fields]`` on untagged terms."""
     return _serialize_node(q.root)
+
+
+def sha256_hex(text: str) -> str:
+    return _sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

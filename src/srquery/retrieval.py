@@ -46,11 +46,11 @@ candidate: a field that holds every exactly matched token of some phrase.
 Such an index answers those queries and no others: a term it was not built
 for may miss documents.
 
-The oracle (:func:`execute_naive`, ``_doc_term_match``, ``_phrase_at``,
-``_exploded_names`` and :func:`explode_mesh`) re-tokenizes every document
-for every term and scans windows and descriptors one by one.  It shares no
-matching code with the index (``_mesh_key`` only normalises a document's
-MeSH tags), so it stays an independent specification.
+The oracle (:func:`execute_naive`, ``_doc_matches``, ``_doc_term_match``,
+``_phrase_at``, ``_exploded_names`` and :func:`explode_mesh`) re-tokenizes
+every document for every term and scans windows and descriptors one by
+one.  It shares no matching code with the index (``_mesh_key`` only
+normalises a document's MeSH tags), so it stays an independent specification.
 """
 
 from __future__ import annotations
@@ -332,29 +332,30 @@ def _index_term(idx: Index, term: Term) -> set[str]:
     return set().union(*(pl for key in keys for pl in _lookup(idx, field, key, term.truncated)))
 
 
+# Not a closure: one that calls itself is a cycle, holding idx until a gc run.
+def _index_node(idx: Index, node: Node) -> set[str]:
+    if isinstance(node, Term):
+        return _index_term(idx, node)
+    sets = [_index_node(idx, child) for child in node.children]
+    if node.op is Op.AND:
+        out = sets[0]
+        for s in sets[1:]:
+            out = out & s
+        return out
+    if node.op is Op.OR:
+        out = set()
+        for s in sets:
+            out |= s
+        return out
+    return sets[0] - sets[1]
+
+
 def execute_local(idx: Index, q: Query) -> set[str]:
     """Evaluate a query against the index via postings set algebra."""
     report = validate(q)
     if not report.ok:
         raise InvalidQueryError("; ".join(i.message for i in report.errors))
-
-    def evaluate(node: Node) -> set[str]:
-        if isinstance(node, Term):
-            return _index_term(idx, node)
-        sets = [evaluate(child) for child in node.children]
-        if node.op is Op.AND:
-            out = sets[0]
-            for s in sets[1:]:
-                out = out & s
-            return out
-        if node.op is Op.OR:
-            out = set()
-            for s in sets:
-                out |= s
-            return out
-        return sets[0] - sets[1]
-
-    return evaluate(q.root)
+    return _index_node(idx, q.root)
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +433,20 @@ def _doc_term_match(doc: CorpusDoc, term: Term, vocab: Optional[MeshVocab]) -> b
     return key in doc_names  # MESH_NOEXP
 
 
+def _doc_matches(doc: CorpusDoc, node: Node, vocab: Optional[MeshVocab]) -> bool:
+    if isinstance(node, Term):
+        return _doc_term_match(doc, node, vocab)
+    if node.op is Op.AND:
+        return all(_doc_matches(doc, c, vocab) for c in node.children)
+    if node.op is Op.OR:
+        return any(_doc_matches(doc, c, vocab) for c in node.children)
+    return (_doc_matches(doc, node.children[0], vocab)
+            and not _doc_matches(doc, node.children[1], vocab))
+
+
 def execute_naive(corpus: Corpus, q: Query, vocab: Optional[MeshVocab] = None) -> set[str]:
     """Oracle evaluator: one boolean predicate per document, no index."""
     report = validate(q)
     if not report.ok:
         raise InvalidQueryError("; ".join(i.message for i in report.errors))
-
-    def matches(doc: CorpusDoc, node: Node) -> bool:
-        if isinstance(node, Term):
-            return _doc_term_match(doc, node, vocab)
-        if node.op is Op.AND:
-            return all(matches(doc, c) for c in node.children)
-        if node.op is Op.OR:
-            return any(matches(doc, c) for c in node.children)
-        return matches(doc, node.children[0]) and not matches(doc, node.children[1])
-
-    return {pmid for pmid, doc in corpus.docs.items() if matches(doc, q.root)}
+    return {pmid for pmid, doc in corpus.docs.items() if _doc_matches(doc, q.root, vocab)}

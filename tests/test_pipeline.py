@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import logging
 import os
@@ -728,6 +729,20 @@ def test_config_loads_what_its_run_will_use_when_built(setting, loaded):
     assert _modules_left_loaded(code) == loaded
 
 
+@pytest.mark.parametrize("setting, loaded", [
+    ("", []),
+    ("backend=BackendConfig(kind='http', base_url='http://127.0.0.1:9')", ["encodings.idna"]),
+    ("execution_backend='entrez'", ["encodings.idna"]),
+], ids=["mock-local", "http", "entrez"])
+def test_a_network_config_loads_the_idna_codec_when_built(setting, loaded):
+    # socket.create_connection imports encodings.idna on first use.
+    code = ("from srquery.gateway import BackendConfig\n"
+            "from srquery.pipeline import AppConfig\n"
+            "AppConfig(topics='t', qrels='q', runlog='r', cache_dir='c', report_dir='d', "
+            f"{setting})")
+    assert _modules_left_loaded(code, ("encodings.idna",)) == loaded
+
+
 def test_request_json_imports_its_transport_when_called(esearch_stub):
     _EsearchStub.count = 2
     code = ("import sys\n"
@@ -754,6 +769,13 @@ def test_a_local_mock_run_loads_no_network_or_thread_pool_module(tmp_path):
     evaluated = [r for r in read_records(tmp_path / "runlog.jsonl") if r.stage == "evaluate"]
     assert [r.status for r in evaluated] == ["ok"] * 6
     assert (tmp_path / "reports" / "report.csv").exists()
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha2") is None
+                    and importlib.util.find_spec("_sha256") is None,
+                    reason="no built-in SHA-256 module: digests fall back to hashlib")
+def test_a_local_mock_run_never_loads_hashlib(tmp_path):
+    assert _modules_left_loaded(_local_mock_run(tmp_path), ("_hashlib", "hashlib")) == []
 
 
 def test_a_local_mock_run_through_analyze_never_loads_statistics(tmp_path):

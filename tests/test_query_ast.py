@@ -1,9 +1,10 @@
+import hashlib
 import json
 import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randgen import random_query
@@ -27,6 +28,7 @@ from srquery.query_ast import (
     iter_terms,
     parse,
     serialize,
+    sha256_hex,
     validate,
 )
 
@@ -333,6 +335,14 @@ def test_parse_never_crashes_on_arbitrary_text(text):
         parse(text)
     except QueryParseError:
         pass  # structured failure is the contract
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.text(st.characters(min_codepoint=0x10000)))
+@example("")
+@example("“point of care”[tiab] AND \U0001F9EA")
+def test_sha256_hex_equals_hashlib(text):
+    assert sha256_hex(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

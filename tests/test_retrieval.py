@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import random
 import re
+import weakref
 from functools import partial
 
 import pytest
@@ -22,7 +24,7 @@ from randgen import (
     random_tree_vocab,
 )
 from srquery.collections import (
-    Corpus, CorpusDoc, MeshDescriptor, MeshVocab, iter_corpus, load_corpus,
+    Corpus, CorpusDoc, MeshDescriptor, MeshVocab, iter_corpus, load_corpus, load_mesh,
 )
 from srquery.query_ast import FieldKind, FieldTag, Op, Operator, Query, Term, iter_terms, parse
 from srquery.retrieval import (
@@ -135,6 +137,28 @@ def test_invalid_query_refused(corpus, vocab):
         execute_local(idx, bad)
     with pytest.raises(InvalidQueryError):
         execute_naive(corpus, bad, vocab)
+
+
+@pytest.mark.parametrize("engine", ["local", "naive"])
+def test_what_an_engine_reads_dies_with_its_last_reference(corpus, fixture_dir, engine):
+    """No reference cycle holds the index or the vocabulary after a query,
+    so each is freed without the cyclic collector."""
+    q = parse("(thyroid[tiab] OR Neoplasms[MeSH] OR Carcinoma[mesh:noexp]) NOT nodule*[tiab]")
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        held = load_mesh(fixture_dir / "mesh.tsv")
+        if engine == "local":
+            held = build_index(corpus, held)
+            assert execute_local(held, q)
+        else:
+            assert execute_naive(corpus, q, held)
+        ref = weakref.ref(held)
+        del held
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
