@@ -1,5 +1,5 @@
-"""Loaders for review topics, relevance judgments, document corpora, and the
-MeSH vocabulary.
+"""Loaders for review topics, relevance judgments, document corpora, the
+MeSH vocabulary and seed queries.
 
 Canonical on-disk formats:
 
@@ -12,10 +12,11 @@ Canonical on-disk formats:
   "pub_types": [...]}``; ``abstract`` is a string or null, and ``mesh`` and
   ``pub_types`` are lists of strings
 * ``mesh.tsv`` — ``ui<TAB>name<TAB>tree;tree``
+* seed-query files — ``{"topic_id", "query"}``, one JSON object per line
 
-The JSONL files, and the pipeline's seed-query files, are read by
-:func:`iter_jsonl`, which names the file and line of a line that is not a
-JSON object.
+Every file is read by one line reader that skips blank lines; the JSONL
+files by :func:`iter_jsonl`, which names the file and line of a line that
+is not a JSON object.
 
 All loaded structures are immutable after construction and safe to share
 across threads.
@@ -43,11 +44,13 @@ __all__ = [
     "NegativeGradeError",
     "MissingFieldError",
     "iter_jsonl",
+    "name_key",
     "load_topics",
     "load_qrels",
     "iter_corpus",
     "load_corpus",
     "load_mesh",
+    "load_seed_queries",
 ]
 
 class CollectionError(ValueError):
@@ -66,11 +69,11 @@ class DuplicateTopicError(CollectionError):
         self.topic_id = topic_id
 
 
-class DuplicateJudgmentError(CollectionError):
+class DuplicateJudgmentError(MalformedLineError):
     pass
 
 
-class NegativeGradeError(CollectionError):
+class NegativeGradeError(MalformedLineError):
     pass
 
 
@@ -157,38 +160,50 @@ class MeshDescriptor:
     tree_numbers: tuple[str, ...]
 
 
+def name_key(name: str) -> str:
+    """The key of a MeSH name, a MeSH tag or a publication type: the text
+    stripped and lowercased."""
+    return name.strip().lower()
+
+
 @dataclass(frozen=True)
 class MeshVocab:
-    """Descriptor lookup is case-insensitive; keys are lowercased names."""
+    """Descriptor lookup is case-insensitive; keys are ``name_key(name)``."""
 
     descriptors: dict[str, MeshDescriptor]
 
     def lookup(self, name: str) -> Optional[MeshDescriptor]:
-        return self.descriptors.get(name.strip().lower())
+        return self.descriptors.get(name_key(name))
 
     def __len__(self) -> int:
         return len(self.descriptors)
 
 
 # ---------------------------------------------------------------------------
-# JSON lines: topics, corpus and seed-query files
+# Lines, JSON lines and fields
 # ---------------------------------------------------------------------------
+
+def _lines(path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for each non-blank line of a UTF-8 text
+    file, in file order."""
+    with open(path, "r", encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            if line.strip():
+                yield line_no, line
+
 
 def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line of a JSONL
     file, in file order.  A line that is not a JSON object raises
     :class:`MalformedLineError` when it is reached."""
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise MalformedLineError(path, line_no, f"invalid JSON: {e}") from e
-            if not isinstance(obj, dict):
-                raise MalformedLineError(path, line_no, "not a JSON object")
-            yield line_no, obj
+    for line_no, line in _lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise MalformedLineError(path, line_no, f"invalid JSON: {e}") from e
+        if not isinstance(obj, dict):
+            raise MalformedLineError(path, line_no, "not a JSON object")
+        yield line_no, obj
 
 
 def _text(value, what: str, path, line_no: int) -> str:
@@ -198,8 +213,16 @@ def _text(value, what: str, path, line_no: int) -> str:
     return value or ""
 
 
+def _id(value, what: str, path, line_no: int) -> str:
+    """An id field's value: a non-blank string as given, or an integer (not
+    a bool) as its decimal string."""
+    if isinstance(value, str) and value.strip() or type(value) is int:
+        return str(value)
+    raise MalformedLineError(path, line_no, f"{what} must be a non-blank string or an integer")
+
+
 # ---------------------------------------------------------------------------
-# Topics
+# Topics and seed queries
 # ---------------------------------------------------------------------------
 
 def _parse_seed_studies(raw, path, line_no) -> tuple[SeedStudy, ...]:
@@ -207,7 +230,7 @@ def _parse_seed_studies(raw, path, line_no) -> tuple[SeedStudy, ...]:
     if not isinstance(raw, list) or not all(isinstance(e, dict) and "pmid" in e for e in raw):
         raise MalformedLineError(path, line_no, "seed_studies must be objects with a pmid")
     return tuple(
-        SeedStudy(pmid=str(e["pmid"]),
+        SeedStudy(pmid=_id(e["pmid"], "seed study pmid", path, line_no),
                   title=_text(e.get("title"), "seed study title", path, line_no),
                   abstract=_text(e.get("abstract"), "seed study abstract", path, line_no))
         for e in raw
@@ -227,7 +250,7 @@ def load_topics(path) -> list[ReviewTopic]:
         original_query = obj.get("original_query")
         if original_query is not None and not isinstance(original_query, str):
             raise MalformedLineError(path, line_no, "original_query must be a string")
-        topic_id = str(obj["topic_id"])
+        topic_id = _id(obj["topic_id"], "topic_id", path, line_no)
         if topic_id in seen:
             raise DuplicateTopicError(topic_id)
         seen.add(topic_id)
@@ -242,6 +265,17 @@ def load_topics(path) -> list[ReviewTopic]:
     return topics
 
 
+def load_seed_queries(path) -> dict[str, str]:
+    """Load a seed-query file, ``topic_id -> query``; a later line for a
+    topic replaces an earlier one."""
+    queries: dict[str, str] = {}
+    for line_no, obj in iter_jsonl(path):
+        if "topic_id" not in obj or not isinstance(obj.get("query"), str):
+            raise MalformedLineError(path, line_no, "needs topic_id and a string query")
+        queries[_id(obj["topic_id"], "topic_id", path, line_no)] = obj["query"]
+    return queries
+
+
 # ---------------------------------------------------------------------------
 # Qrels
 # ---------------------------------------------------------------------------
@@ -253,27 +287,24 @@ def load_qrels(path) -> Qrels:
     binarization happens at evaluation time via :meth:`Qrels.relevant_for`.
     """
     judgments: dict[tuple[str, str], int] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise MalformedLineError(path, line_no, f"expected 4 columns, got {len(parts)}")
-            topic_id, _, pmid, grade_str = parts
-            try:
-                grade = int(grade_str)
-            except ValueError:
-                raise MalformedLineError(path, line_no, f"grade {grade_str!r} is not an integer")
-            if grade < 0:
-                raise NegativeGradeError(f"{path}:{line_no}: negative grade {grade}")
-            key = (topic_id, pmid)
-            if key in judgments:
-                raise DuplicateJudgmentError(
-                    f"{path}:{line_no}: duplicate judgment for {key} "
-                    f"(grades {judgments[key]} and {grade})"
-                )
-            judgments[key] = grade
+    for line_no, line in _lines(path):
+        parts = line.split()
+        if len(parts) != 4:
+            raise MalformedLineError(path, line_no, f"expected 4 columns, got {len(parts)}")
+        topic_id, _, pmid, grade_str = parts
+        try:
+            grade = int(grade_str)
+        except ValueError:
+            raise MalformedLineError(path, line_no, f"grade {grade_str!r} is not an integer")
+        if grade < 0:
+            raise NegativeGradeError(path, line_no, f"negative grade {grade}")
+        key = (topic_id, pmid)
+        if key in judgments:
+            raise DuplicateJudgmentError(
+                path, line_no,
+                f"duplicate judgment for {key} (grades {judgments[key]} and {grade})",
+            )
+        judgments[key] = grade
     return Qrels(judgments)
 
 
@@ -291,7 +322,7 @@ def iter_corpus(path) -> Iterator[CorpusDoc]:
                 raise MissingFieldError(f"{path}:{line_no}: missing {required!r}")
         if not isinstance(obj["title"], str):
             raise MalformedLineError(path, line_no, "title must be a string")
-        pmid = str(obj["pmid"])
+        pmid = _id(obj["pmid"], "pmid", path, line_no)
         if pmid in seen:
             raise MalformedLineError(path, line_no, f"duplicate pmid {pmid!r}")
         seen.add(pmid)
@@ -316,20 +347,17 @@ def load_corpus(path) -> Corpus:
 def load_mesh(path) -> MeshVocab:
     """Load a TSV of descriptors: ``ui<TAB>name<TAB>tree;tree``."""
     descriptors: dict[str, MeshDescriptor] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise MalformedLineError(path, line_no, f"expected 3 columns, got {len(parts)}")
-            ui, name, trees = parts
-            tree_numbers = tuple(t for t in trees.split(";") if t.strip())
-            if not tree_numbers:
-                raise MalformedLineError(path, line_no, f"descriptor {name!r} has no tree numbers")
-            if not name.strip():
-                raise MissingFieldError(f"{path}:{line_no}: empty descriptor name")
-            descriptors[name.strip().lower()] = MeshDescriptor(
-                name=name.strip(), ui=ui.strip(), tree_numbers=tree_numbers
-            )
+    for line_no, line in _lines(path):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 3:
+            raise MalformedLineError(path, line_no, f"expected 3 columns, got {len(parts)}")
+        ui, name, trees = parts
+        tree_numbers = tuple(t for t in map(str.strip, trees.split(";")) if t)
+        if not tree_numbers:
+            raise MalformedLineError(path, line_no, f"descriptor {name!r} has no tree numbers")
+        if not name.strip():
+            raise MissingFieldError(f"{path}:{line_no}: empty descriptor name")
+        descriptors[name_key(name)] = MeshDescriptor(
+            name=name.strip(), ui=ui.strip(), tree_numbers=tree_numbers
+        )
     return MeshVocab(descriptors)

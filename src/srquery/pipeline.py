@@ -334,27 +334,21 @@ def _refinement_pool(
 
 def _seed_queries(cfg: AppConfig, seed_source: str, topics: list[colls.ReviewTopic],
                   logged: list[RunRecord]) -> dict[str, str]:
-    """Map topic_id -> initial query text for the chosen seed source."""
+    """Map topic_id -> initial query text for the chosen seed source.  A
+    blank text is no seed, whatever its source."""
     if seed_source == "original":
-        return {t.topic_id: t.original_query for t in topics if t.original_query}
-    if seed_source == "q4-runlog":
-        queries: dict[str, str] = {}
-        for record in logged:
-            if record.stage == "generate" and record.prompt_id == "q4" \
-                    and record.status == "ok" and record.query:
-                queries[record.topic_id] = record.query
-        return queries
-    path = cfg.seed_query_files.get(seed_source)
-    if not path:
-        raise MissingSeedQueryError(
-            f"seed source {seed_source!r} needs a query file under seed_query_files"
-        )
-    queries = {}
-    for line_no, obj in colls.iter_jsonl(path):
-        if "topic_id" not in obj or not isinstance(obj.get("query"), str):
-            raise colls.MalformedLineError(path, line_no, "needs topic_id and a string query")
-        queries[str(obj["topic_id"])] = obj["query"]
-    return queries
+        queries = {t.topic_id: t.original_query for t in topics}
+    elif seed_source == "q4-runlog":
+        queries = {r.topic_id: r.query for r in logged
+                   if r.stage == "generate" and r.prompt_id == "q4" and r.status == "ok"}
+    else:
+        path = cfg.seed_query_files.get(seed_source)
+        if not path:
+            raise MissingSeedQueryError(
+                f"seed source {seed_source!r} needs a query file under seed_query_files"
+            )
+        queries = colls.load_seed_queries(path)
+    return {tid: text for tid, text in queries.items() if text and text.strip()}
 
 
 def _single_prompt(cfg: AppConfig, prompt_id: str, example_mode: str, seed_source: str,

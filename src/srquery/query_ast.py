@@ -83,14 +83,8 @@ class FieldTag:
 
     @staticmethod
     def from_raw(raw: str) -> "FieldTag":
-        tag = _TAG_BY_RAW.get(raw)
-        if tag is None:
-            tag = _TAG_ALIASES.get(" ".join(raw.split()).lower())
-            if tag is None:
-                return FieldTag(FieldKind.OTHER, raw.strip())
-            if len(_TAG_BY_RAW) < _TAG_BY_RAW_MAX:
-                _TAG_BY_RAW[raw] = tag
-        return tag
+        tag = _TAG_ALIASES.get(" ".join(raw.split()).lower())
+        return tag if tag is not None else FieldTag(FieldKind.OTHER, raw.strip())
 
     def spelled(self) -> str:
         if self.kind is FieldKind.OTHER:
@@ -121,11 +115,6 @@ _TAG_ALIASES = {
     "publication type": FieldTag(FieldKind.PUBLICATION_TYPE),
     "pt": FieldTag(FieldKind.PUBLICATION_TYPE),
 }
-# Each raw spelling seen that resolves to an alias, mapped to its shared tag
-# so it is normalized once per process.  Unrecognized (OTHER) spellings are
-# never kept, and the cap bounds case and whitespace variants of the rest.
-_TAG_BY_RAW: dict[str, FieldTag] = {}
-_TAG_BY_RAW_MAX = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -518,57 +507,51 @@ def validate(q: Query, vocab=None) -> ValidationReport:
     """
     errors: list[ValidationIssue] = []
     warnings: list[ValidationIssue] = []
-
-    def walk(node: Node) -> None:
-        if isinstance(node, Term):
-            if '"' in node.text:
+    # Not a recursive closure: one is a cycle, holding vocab until a gc run.
+    for term in iter_terms(q.root):
+        if '"' in term.text:
+            errors.append(
+                ValidationIssue(
+                    "unserializable-term",
+                    "term text contains a quote character",
+                    term.text,
+                )
+            )
+        if term.field.kind is FieldKind.OTHER:
+            if term.field.raw and "]" in term.field.raw:
                 errors.append(
                     ValidationIssue(
                         "unserializable-term",
-                        "term text contains a quote character",
-                        node.text,
+                        f"field tag contains ']': {term.field.raw!r}",
+                        term.text,
                     )
                 )
-            if node.field.kind is FieldKind.OTHER:
-                if node.field.raw and "]" in node.field.raw:
-                    errors.append(
-                        ValidationIssue(
-                            "unserializable-term",
-                            f"field tag contains ']': {node.field.raw!r}",
-                            node.text,
-                        )
-                    )
-                else:
-                    warnings.append(
-                        ValidationIssue(
-                            "unknown-field-tag",
-                            f"unrecognized field tag [{node.field.raw}]; executed as All Fields",
-                            node.text,
-                        )
-                    )
-            if node.truncated and len(node.text.replace(" ", "")) < MIN_TRUNCATION_STEM:
+            else:
                 warnings.append(
                     ValidationIssue(
-                        "short-truncation-stem",
-                        f"truncation stem {node.text!r} is shorter than {MIN_TRUNCATION_STEM} characters",
-                        node.text,
+                        "unknown-field-tag",
+                        f"unrecognized field tag [{term.field.raw}]; executed as All Fields",
+                        term.text,
                     )
                 )
-            if vocab is not None and node.field.kind in (
-                FieldKind.MESH_EXPLODED,
-                FieldKind.MESH_NOEXP,
-            ):
-                if vocab.lookup(node.text) is None:
-                    warnings.append(
-                        ValidationIssue(
-                            "mesh-not-in-vocabulary",
-                            f"MeSH term {node.text!r} is not in the vocabulary",
-                            node.text,
-                        )
+        if term.truncated and len(term.text.replace(" ", "")) < MIN_TRUNCATION_STEM:
+            warnings.append(
+                ValidationIssue(
+                    "short-truncation-stem",
+                    f"truncation stem {term.text!r} is shorter than {MIN_TRUNCATION_STEM} characters",
+                    term.text,
+                )
+            )
+        if vocab is not None and term.field.kind in (
+            FieldKind.MESH_EXPLODED,
+            FieldKind.MESH_NOEXP,
+        ):
+            if vocab.lookup(term.text) is None:
+                warnings.append(
+                    ValidationIssue(
+                        "mesh-not-in-vocabulary",
+                        f"MeSH term {term.text!r} is not in the vocabulary",
+                        term.text,
                     )
-            return
-        for child in node.children:
-            walk(child)
-
-    walk(q.root)
+                )
     return ValidationReport(tuple(errors), tuple(warnings))

@@ -49,8 +49,9 @@ for may miss documents.
 The oracle (:func:`execute_naive`, ``_doc_matches``, ``_doc_term_match``,
 ``_phrase_at``, ``_exploded_names`` and :func:`explode_mesh`) re-tokenizes
 every document for every term and scans windows and descriptors one by
-one.  It shares no matching code with the index (``_mesh_key`` only
-normalises a document's MeSH tags), so it stays an independent specification.
+one.  It shares no matching code with the index, so it stays an independent
+specification; both take the key of a MeSH tag, a MeSH or publication-type
+term and a publication type from one rule, ``collections.name_key``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .collections import Corpus, CorpusDoc, MeshVocab
+from .collections import Corpus, CorpusDoc, MeshVocab, name_key
 from .query_ast import (
     FieldKind,
     Node,
@@ -113,12 +114,6 @@ def tokenize(text: str) -> list[str]:
     return _separated(text).split()
 
 
-def _mesh_key(vocab: Optional[MeshVocab], name: str) -> str:
-    """The key both engines give a document's MeSH tag."""
-    descriptor = vocab.lookup(name) if vocab is not None else None
-    return descriptor.name.lower() if descriptor is not None else name.strip().lower()
-
-
 # ---------------------------------------------------------------------------
 # Index
 # ---------------------------------------------------------------------------
@@ -135,7 +130,7 @@ class Index:
     sorted_keys: dict[str, tuple[str, ...]]     # field -> sorted keys, for `*`
     texts: dict[str, dict[str, str]]            # title|abstract -> pmid -> spaced text
     mesh_names: dict[str, tuple[str, ...]]      # pmid -> spaced canonical MeSH names
-    mesh_trees: tuple[tuple[str, str], ...]     # sorted (tree number, lower name)
+    mesh_trees: tuple[tuple[str, str], ...]     # sorted (tree number, name key)
     vocab: Optional[MeshVocab]
 
 
@@ -235,7 +230,7 @@ def build_index(
                 postings[field][tok].append(pmid)
         for tag in doc.mesh_terms:
             if tag not in canonical:
-                name = _mesh_key(vocab, tag)
+                name = name_key(tag)
                 canonical[tag] = (name, *scan(name, always_store=True))
         entries = [canonical[tag] for tag in doc.mesh_terms]
         mesh_names[pmid] = tuple(spaced for _, spaced, _ in entries)
@@ -243,11 +238,11 @@ def build_index(
             postings["descriptor"][name].append(pmid)
         for tok in set().union(*(posted for _, _, posted in entries)):
             postings["mesh"][tok].append(pmid)
-        for pub_type in {p.lower().strip() for p in doc.pub_types}:
+        for pub_type in {name_key(p) for p in doc.pub_types}:
             postings["pub_type"][pub_type].append(pmid)
 
     mesh_trees = () if vocab is None else tuple(sorted(
-        (tree, d.name.lower()) for d in vocab.descriptors.values() for tree in d.tree_numbers
+        (tree, name_key(d.name)) for d in vocab.descriptors.values() for tree in d.tree_numbers
     ))
     return Index(
         postings={f: dict(keys) for f, keys in postings.items()},
@@ -298,17 +293,15 @@ def _index_field_match(idx: Index, fields: tuple[str, ...], term: Term) -> set[s
     return result
 
 
-def _index_exploded_names(idx: Index, text: str) -> set[str]:
-    """Lowercased descriptor names matched by an exploded MeSH term: the
-    descriptor plus every name whose tree number equals one of its roots or
-    extends it at a dot boundary, read as bisect ranges of ``mesh_trees``.
-    Falls back to the literal name when the vocabulary has no entry."""
-    descriptor = idx.vocab.lookup(text) if idx.vocab is not None else None
-    if descriptor is None:
-        return {text.strip().lower()}
+def _index_exploded_names(idx: Index, key: str) -> set[str]:
+    """Descriptor keys matched by an exploded MeSH term's key: the key, plus
+    every name whose tree number equals one of the descriptor's roots or
+    extends it at a dot boundary, read as bisect ranges of ``mesh_trees``
+    when the vocabulary has the descriptor."""
+    names = {key}
+    descriptor = idx.vocab.lookup(key) if idx.vocab is not None else None
     table = idx.mesh_trees
-    names = {descriptor.name.lower()}
-    for root in descriptor.tree_numbers:
+    for root in descriptor.tree_numbers if descriptor is not None else ():
         # Exactly root: [root, root + "\0"); below root: [root + ".", root + "/").
         for lo, hi in ((root, root + "\0"), (root + ".", root + "/")):
             start = bisect_left(table, (lo,))
@@ -320,13 +313,13 @@ def _index_term(idx: Index, term: Term) -> set[str]:
     kind = term.field.kind
     if kind in _TEXT_FIELDS:
         return _index_field_match(idx, _TEXT_FIELDS[kind], term)
-    keys = (term.text.strip().lower(),)
+    keys = (name_key(term.text),)
     if kind is FieldKind.PUBLICATION_TYPE:
         field = "pub_type"
     elif kind in (FieldKind.MESH_EXPLODED, FieldKind.MESH_NOEXP):
         field = "descriptor"
         if kind is FieldKind.MESH_EXPLODED and not term.truncated:
-            keys = _index_exploded_names(idx, term.text)
+            keys = _index_exploded_names(idx, keys[0])
     else:
         raise InvalidQueryError(f"unsupported field kind {kind}")
     return set().union(*(pl for key in keys for pl in _lookup(idx, field, key, term.truncated)))
@@ -394,11 +387,11 @@ def explode_mesh(vocab: MeshVocab, name: str) -> set[str]:
 
 
 def _exploded_names(vocab: Optional[MeshVocab], text: str) -> set[str]:
-    """Lowercased descriptor names matched by an exploded MeSH term; falls
-    back to the literal name when the vocabulary has no entry."""
+    """Keys of the descriptor names matched by an exploded MeSH term; falls
+    back to the term's own key when the vocabulary has no entry."""
     if vocab is not None and vocab.lookup(text) is not None:
-        return {n.lower() for n in explode_mesh(vocab, text)}
-    return {text.strip().lower()}
+        return {name_key(n) for n in explode_mesh(vocab, text)}
+    return {name_key(text)}
 
 
 def _doc_term_match(doc: CorpusDoc, term: Term, vocab: Optional[MeshVocab]) -> bool:
@@ -417,20 +410,15 @@ def _doc_term_match(doc: CorpusDoc, term: Term, vocab: Optional[MeshVocab]) -> b
         return in_text(doc.title) or in_text(doc.abstract)
     if kind in (FieldKind.ALL_FIELDS, FieldKind.OTHER):
         return in_text(doc.title) or in_text(doc.abstract) or in_mesh_names()
-    if kind is FieldKind.PUBLICATION_TYPE:
-        want = term.text.strip().lower()
-        return any(
-            p.lower().strip() == want or (term.truncated and p.lower().strip().startswith(want))
-            for p in doc.pub_types
-        )
 
-    doc_names = {_mesh_key(vocab, m) for m in doc.mesh_terms}
-    key = term.text.strip().lower()
+    tags = doc.pub_types if kind is FieldKind.PUBLICATION_TYPE else doc.mesh_terms
+    doc_names = {name_key(t) for t in tags}
+    key = name_key(term.text)
     if term.truncated:
         return any(n.startswith(key) for n in doc_names)
     if kind is FieldKind.MESH_EXPLODED:
         return bool(_exploded_names(vocab, term.text) & doc_names)
-    return key in doc_names  # MESH_NOEXP
+    return key in doc_names  # MESH_NOEXP, PUBLICATION_TYPE
 
 
 def _doc_matches(doc: CorpusDoc, node: Node, vocab: Optional[MeshVocab]) -> bool:

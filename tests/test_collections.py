@@ -70,6 +70,9 @@ TOPIC_FIELD_ERRORS = {
     "non-string-seed-title": '{"topic_id":"CD1","title":"one","seed_studies":[{"pmid":"1","title":5}]}',
     "non-string-seed-abstract":
         '{"topic_id":"CD1","title":"one","seed_studies":[{"pmid":"1","abstract":["a"]}]}',
+    "null-topic-id": '{"topic_id":null,"title":"one"}',
+    "list-topic-id": '{"topic_id":["CD1"],"title":"one"}',
+    "null-seed-pmid": '{"topic_id":"CD1","title":"one","seed_studies":[{"pmid":null}]}',
 }
 
 
@@ -79,6 +82,18 @@ def test_load_topics_rejects_a_malformed_query_or_study(tmp_path, line):
     path.write_text(line + "\n")
     with pytest.raises(MalformedLineError, match=":1: "):
         load_topics(path)
+
+
+def test_integer_ids_load_as_decimal_strings_and_padded_ids_keep_their_bytes(tmp_path):
+    topics = tmp_path / "topics.jsonl"
+    topics.write_text('{"topic_id":7,"title":"one","seed_studies":[{"pmid":12}]}\n'
+                      '{"topic_id":" CD2 ","title":"two"}\n')
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"pmid":1001,"title":"a"}\n{"pmid":" 1002 ","title":"b"}\n')
+    loaded = load_topics(topics)
+    assert [t.topic_id for t in loaded] == ["7", " CD2 "]
+    assert loaded[0].seed_studies[0].pmid == "12"
+    assert list(load_corpus(corpus).docs) == ["1001", " 1002 "]
 
 
 def test_seed_topics_carry_studies(seed_topics):
@@ -111,15 +126,19 @@ def test_load_qrels_graded_rows_binarize_downstream(tmp_path):
 def test_load_qrels_duplicate_pair_rejected(tmp_path):
     path = tmp_path / "qrels.txt"
     path.write_text("CD1 0 10 1\nCD1 0 10 0\n")
-    with pytest.raises(DuplicateJudgmentError):
+    with pytest.raises(DuplicateJudgmentError) as exc:
         load_qrels(path)
+    assert exc.value.line_no == 2
+    assert str(exc.value) == f"{path}:2: duplicate judgment for ('CD1', '10') (grades 1 and 0)"
 
 
 def test_load_qrels_negative_grade(tmp_path):
     path = tmp_path / "qrels.txt"
     path.write_text("CD1 0 10 -1\n")
-    with pytest.raises(NegativeGradeError):
+    with pytest.raises(NegativeGradeError) as exc:
         load_qrels(path)
+    assert exc.value.line_no == 1
+    assert str(exc.value) == f"{path}:1: negative grade -1"
 
 
 def test_load_qrels_malformed(tmp_path):
@@ -210,6 +229,11 @@ CORPUS_TYPE_ERRORS = {
     "number-in-pub-types": ('{"pmid":"2","title":"t","pub_types":["Review",3]}', "pub_types"),
     "list-abstract": ('{"pmid":"2","title":"t","abstract":["alpha","beta"]}', "abstract must"),
     "number-abstract": ('{"pmid":"2","title":"t","abstract":0}', "abstract must"),
+    "null-pmid": ('{"pmid":null,"title":"t"}', "pmid must be a non-blank string or an integer"),
+    "list-pmid": ('{"pmid":["2"],"title":"t"}', "pmid must be"),
+    "bool-pmid": ('{"pmid":true,"title":"t"}', "pmid must be"),
+    "float-pmid": ('{"pmid":1.5,"title":"t"}', "pmid must be"),
+    "blank-pmid": ('{"pmid":" ","title":"t"}', "pmid must be"),
 }
 CORPUS_READERS = {"load_corpus": load_corpus, "iter_corpus": lambda p: list(iter_corpus(p))}
 

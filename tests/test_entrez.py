@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
@@ -10,6 +11,7 @@ from urllib.parse import parse_qs, urlparse
 import pytest
 
 from conftest import stub_server
+from srquery import entrez
 from srquery.entrez import (
     ApiError,
     EntrezConfig,
@@ -201,11 +203,14 @@ def test_api_error_surfaces(esearch_stub):
         entrez_search(QUERY, cfg_for(esearch_stub), limiter=RateLimiter(10_000))
 
 
-def test_http_error_surfaces(esearch_stub):
+def test_http_error_surfaces(esearch_stub, monkeypatch):
     _EsearchStub.status = 500
+    slept = []
+    monkeypatch.setattr(entrez, "request_json", partial(request_json, sleep=slept.append))
     with pytest.raises(HttpError) as exc:
         entrez_search(QUERY, cfg_for(esearch_stub), limiter=RateLimiter(10_000))
     assert exc.value.status == 500
+    assert slept == [0.5, 1.0]
 
 
 @pytest.mark.parametrize("status", [503, 429])

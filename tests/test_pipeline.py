@@ -255,10 +255,35 @@ def test_refine_conceptual_from_supplied_file(tmp_path):
     assert all(r.status == "ok" for r in records)
 
 
+@pytest.mark.parametrize("blank", ["", " \n "], ids=["empty", "whitespace"])
+def test_refine_gives_a_blank_seed_query_an_error_record(tmp_path, blank):
+    seeds_path = tmp_path / "conceptual.jsonl"
+    with open(seeds_path, "w") as f:
+        for tid in ("CD900001", "CD900002", "CD900003"):
+            query = blank if tid == "CD900002" else "(seed[tiab] AND here[tiab])"
+            f.write(json.dumps({"topic_id": tid, "query": query}) + "\n")
+    cfg = make_config(tmp_path)
+    cfg.seed_query_files["conceptual"] = str(seeds_path)
+    prompts_seen = []
+
+    class SpyBackend(MockBackend):
+        def complete(self, conv):
+            prompts_seen.append(conv.messages[-1].content)
+            return "(refined[tiab] AND query[tiab])"
+
+    records = {r.topic_id: r for r in cmd_refine(cfg, "q6", "conceptual", backend=SpyBackend())}
+    assert records["CD900002"].status == "error"
+    assert records["CD900002"].error == "no conceptual seed query for topic CD900002"
+    assert records["CD900001"].status == records["CD900003"].status == "ok"
+    assert len(prompts_seen) == 2
+    assert not any("liver fibrosis" in p for p in prompts_seen)
+
+
 # Each bad seed-query line follows a good one, so the error names line 2.
 BAD_SEED_QUERY_LINES = {
     "missing-query": '{"topic_id": "CD900002"}',
     "invalid-json": '{"topic_id": "CD900002", "query":',
+    "null-topic-id": '{"topic_id": null, "query": "seed[tiab]"}',
 }
 
 
@@ -445,7 +470,8 @@ def test_execute_entrez_backed_by_stub(tmp_path):
         cfg = make_config(tmp_path)
         cfg.execution_backend = "entrez"
         from srquery.entrez import EntrezConfig
-        cfg.entrez = EntrezConfig(base_url=url, retmax=10_000, rate_limit=3.0)
+        cfg.entrez = EntrezConfig(base_url=url, retmax=10_000, api_key="test-key",
+                                  rate_limit=10.0)
         cmd_ingest(cfg)
         records = cmd_execute(cfg)
         assert all(r.status == "ok" for r in records)
@@ -509,7 +535,8 @@ def test_execute_records_esearch_timeouts(tmp_path, stalling_server):
 
     cfg = make_config(tmp_path)
     cfg.execution_backend = "entrez"
-    cfg.entrez = EntrezConfig(base_url=stalling_server, rate_limit=3.0, timeout=0.2)
+    cfg.entrez = EntrezConfig(base_url=stalling_server, api_key="test-key", rate_limit=10.0,
+                              timeout=0.2)
     cmd_ingest(cfg)
     records = cmd_execute(cfg)
     assert len(records) == 3

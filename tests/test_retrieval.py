@@ -26,7 +26,9 @@ from randgen import (
 from srquery.collections import (
     Corpus, CorpusDoc, MeshDescriptor, MeshVocab, iter_corpus, load_corpus, load_mesh,
 )
-from srquery.query_ast import FieldKind, FieldTag, Op, Operator, Query, Term, iter_terms, parse
+from srquery.query_ast import (
+    FieldKind, FieldTag, Op, Operator, Query, Term, iter_terms, parse, validate,
+)
 from srquery.retrieval import (
     Index,
     InvalidQueryError,
@@ -139,7 +141,7 @@ def test_invalid_query_refused(corpus, vocab):
         execute_naive(corpus, bad, vocab)
 
 
-@pytest.mark.parametrize("engine", ["local", "naive"])
+@pytest.mark.parametrize("engine", ["local", "naive", "validate"])
 def test_what_an_engine_reads_dies_with_its_last_reference(corpus, fixture_dir, engine):
     """No reference cycle holds the index or the vocabulary after a query,
     so each is freed without the cyclic collector."""
@@ -151,8 +153,10 @@ def test_what_an_engine_reads_dies_with_its_last_reference(corpus, fixture_dir, 
         if engine == "local":
             held = build_index(corpus, held)
             assert execute_local(held, q)
-        else:
+        elif engine == "naive":
             assert execute_naive(corpus, q, held)
+        else:
+            assert validate(q, held).ok
         ref = weakref.ref(held)
         del held
         assert ref() is None
@@ -164,6 +168,19 @@ def test_what_an_engine_reads_dies_with_its_last_reference(corpus, fixture_dir, 
 # ---------------------------------------------------------------------------
 # explode_mesh
 # ---------------------------------------------------------------------------
+
+def test_padded_tree_numbers_are_stripped_and_explode_in_both_engines(tmp_path):
+    path = tmp_path / "mesh.tsv"
+    path.write_text("D009369\tNeoplasms\tC04\nD002277\t Carcinoma \t C04.557 ; E01\n")
+    vocab = load_mesh(path)
+    assert vocab.lookup("carcinoma") == MeshDescriptor(
+        name="Carcinoma", ui="D002277", tree_numbers=("C04.557", "E01"))
+    assert explode_mesh(vocab, "Neoplasms") == {"Neoplasms", "Carcinoma"}
+    corpus = Corpus({"1": CorpusDoc("1", "a case series", mesh_terms=("Carcinoma",))})
+    q = parse("Neoplasms[MeSH]")
+    assert execute_local(build_index(corpus, vocab), q) == {"1"}
+    assert execute_naive(corpus, q, vocab) == {"1"}
+
 
 def test_explode_leaf_is_itself(vocab):
     assert explode_mesh(vocab, "Autopsy") == {"Autopsy"}
