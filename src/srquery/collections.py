@@ -185,9 +185,16 @@ class MeshVocab:
 
 def _lines(path) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, line)`` for each non-blank line of a UTF-8 text
-    file, in file order."""
-    with open(path, "r", encoding="utf-8") as f:
+    file, in file order; a byte that is not UTF-8 fails its own line."""
+    # Decoding runs ahead in chunks: keep a bad byte as an escape until its line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    reason = f"not UTF-8 at column {e.start + 1}"
+                    raise MalformedLineError(path, line_no, reason) from None
             if line.strip():
                 yield line_no, line
 
@@ -199,7 +206,7 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
     for line_no, line in _lines(path):
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # also too many digits or too deep
             raise MalformedLineError(path, line_no, f"invalid JSON: {e}") from e
         if not isinstance(obj, dict):
             raise MalformedLineError(path, line_no, "not a JSON object")

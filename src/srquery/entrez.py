@@ -94,6 +94,10 @@ def _cache_path(cache_dir, digest: str) -> Path:
     return Path(cache_dir) / f"{digest}.json"
 
 
+def _is_pmid_list(value) -> bool:
+    return isinstance(value, list) and all(map(isinstance, value, repeat(str)))
+
+
 def load_cached_result(cache_dir, digest: str) -> Optional[list[str]]:
     path = _cache_path(cache_dir, digest)
     try:
@@ -103,7 +107,7 @@ def load_cached_result(cache_dir, digest: str) -> Optional[list[str]]:
     except ValueError:  # not UTF-8, or not JSON
         entry = None
     pmids = entry.get("pmids") if isinstance(entry, dict) else None
-    if isinstance(pmids, list) and all(map(isinstance, pmids, repeat(str))):
+    if _is_pmid_list(pmids):
         return pmids
     log.warning("discarding unreadable cache entry %s", path)
     path.unlink(missing_ok=True)
@@ -162,7 +166,7 @@ def entrez_search(
         if "ERROR" in result:
             raise ApiError(str(result["ERROR"]))
         count, ids = result.get("count", 0), result.get("idlist", [])
-        if not str(count).isdecimal() or not isinstance(ids, list):
+        if not str(count).isdecimal() or not _is_pmid_list(ids):
             raise ApiError(f"malformed esearch result: {str(result)[:80]}")
         count = int(count)
         pmids.extend(ids)

@@ -21,7 +21,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .collections import ReviewTopic, SeedStudy
 from .prompts import PromptBindings, render
@@ -261,23 +261,20 @@ def complete(conv: Conversation, backend) -> str:
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*\n?(.*?)```", re.DOTALL)
 
 
-def _balanced_paren_spans(text: str) -> list[str]:
-    spans = []
-    depth = 0
-    start = -1
+def _longest_paren_span(text: str) -> str:
+    """The first longest top-level balanced-parenthesis span, or ``""``."""
+    best = ""
+    depth = start = 0
     for i, ch in enumerate(text):
         if ch == "(":
             if depth == 0:
                 start = i
             depth += 1
-        elif ch == ")":
-            if depth == 0:
-                continue
+        elif ch == ")" and depth:
             depth -= 1
-            if depth == 0:
-                spans.append(text[start : i + 1])
-    spans.sort(key=len, reverse=True)
-    return spans
+            if depth == 0 and i + 1 - start > len(best):
+                best = text[start : i + 1]
+    return best
 
 
 def extract_query(response: str) -> Query:
@@ -292,13 +289,9 @@ def extract_query(response: str) -> Query:
     single bare, untagged term is therefore rejected unless it was
     explicitly quoted or field-tagged.
     """
-    candidates = [m.strip() for m in _FENCE_RE.findall(response) if m.strip()]
-    spans = _balanced_paren_spans(response)
-    if spans:
-        candidates.append(spans[0].strip())
-    if response.strip():
-        candidates.append(response.strip())
-    for candidate in candidates:
+    candidates = [m.strip() for m in _FENCE_RE.findall(response)]
+    candidates += [_longest_paren_span(response), response.strip()]
+    for candidate in filter(None, candidates):  # an empty candidate is no query
         try:
             query = parse(candidate)
         except QueryParseError:
@@ -315,20 +308,26 @@ _NUMBERED_RE = re.compile(r"^\s*(\d+)\.\s*(.+?)\s*$")
 _CATEGORY_RE = re.compile(r"^\((A|B|C|N/A|NA)\)\s*(.+?)\s*$", re.IGNORECASE)
 
 
+def _numbered_lines(response: str) -> Iterator[tuple[str, int, str]]:
+    """Yield ``(line, N, rest)`` per ``N. rest`` line; N must strictly increase."""
+    last_n = 0
+    for line in response.splitlines():
+        m = _NUMBERED_RE.match(line)
+        if m:
+            n = int(m.group(1))
+            if n <= last_n:
+                raise ResponseFormatError(f"list numbering does not increase at line {line!r}")
+            last_n = n
+            yield line, n, m.group(2)
+
+
 def parse_term_list(response: str) -> list[str]:
     """Parse ``N. term`` lines; numbering must strictly increase and terms
     must be unique case-insensitively."""
     terms: list[str] = []
     seen: set[str] = set()
-    last_n = 0
-    for line in response.splitlines():
-        m = _NUMBERED_RE.match(line)
-        if not m:
-            continue
-        n, text = int(m.group(1)), m.group(2).rstrip(".").strip()
-        if n <= last_n:
-            raise ResponseFormatError(f"list numbering does not increase at line {line!r}")
-        last_n = n
+    for line, _, rest in _numbered_lines(response):
+        text = rest.rstrip(".").strip()
         if not text:
             raise ResponseFormatError(f"empty term at line {line!r}")
         key = text.lower()
@@ -356,18 +355,10 @@ class CategorizedTerms:
 def parse_categorized_list(response: str) -> CategorizedTerms:
     """Parse ``N. (CAT) term`` lines with CAT in A/B/C/N-A."""
     entries: list[CategorizedTerm] = []
-    last_n = 0
-    for line in response.splitlines():
-        m = _NUMBERED_RE.match(line)
-        if not m:
-            continue
-        n, rest = int(m.group(1)), m.group(2)
+    for line, n, rest in _numbered_lines(response):
         cm = _CATEGORY_RE.match(rest)
         if not cm:
             raise UnknownCategoryError(f"no (A)/(B)/(C)/(N/A) category at line {line!r}")
-        if n <= last_n:
-            raise ResponseFormatError(f"list numbering does not increase at line {line!r}")
-        last_n = n
         category = cm.group(1).upper().replace("N/A", "NA")
         entries.append(CategorizedTerm(index=n, category=category, text=cm.group(2).rstrip(".").strip()))
     if not entries:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from typing import Callable, Optional, Sequence
@@ -80,9 +80,6 @@ class PromptBindings:
     seed_study_title: Optional[str] = None
     seed_study_text: Optional[str] = None
 
-    def as_dict(self) -> dict[str, Optional[str]]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class ExampleReview:
@@ -130,7 +127,7 @@ def template_digest(template: PromptTemplate) -> str:
 def render(template_id: str, bindings: PromptBindings) -> str:
     """Substitute placeholders; everything else passes through untouched."""
     template = load_template(template_id)
-    values = bindings.as_dict()
+    values = vars(bindings)
 
     def substitute(match: re.Match) -> str:
         name = match.group(1)

@@ -15,6 +15,8 @@ Grammar::
     OP         := AND | OR | NOT         (case-insensitive)
 
 NOT is binary set difference: ``a NOT b NOT c`` nests as ``(a NOT b) NOT c``.
+A term's text is stripped, and a trailing '*' truncates it, quoted or not and
+whitespace before it allowed: every serialization parses back to its query.
 """
 
 from __future__ import annotations
@@ -225,15 +227,22 @@ _TOKEN = re.compile(
 _OPS = {"".join(s): op for op in Op for s in product(*zip(op.value, op.value.lower()))}
 
 
+def _term_text(text: str, truncated: bool) -> tuple[str, bool]:
+    """A term's text, stripped, and truncation: a trailing '*' truncates,
+    whitespace before it allowed.  The serializer's quoting relies on it."""
+    text = text.strip()
+    while text[-1:] == "*":
+        text = text[:-1].rstrip()
+        truncated = True
+    return text, truncated
+
+
 def _phrase(tok: str) -> Optional[tuple[str, bool]]:
-    """A phrase token's stripped text and truncation; None unless closed.
-    A '*' at the end inside the quotes or right after them truncates."""
+    """A closed phrase's term text and truncation (a '*' may follow the quote), else None."""
     body = tok.rstrip("*")  # at most one '*' follows a closing quote
     if len(body) < 2 or body[-1] not in '"”':
         return None
-    text = body[1:-1]
-    truncated = len(body) < len(tok) or text.endswith("*")
-    return text.rstrip("*").strip(), truncated
+    return _term_text(body[1:-1], len(body) < len(tok))
 
 
 def _first_bad_token(tokens: list[str]) -> Optional[tuple[int, type, str]]:
@@ -331,23 +340,20 @@ def _clause(tokens: list[str], i: int, depth: int) -> tuple[Node, int]:
         text, truncated = phrase
         i += 1
     else:
-        # A run of bare words is one phrase term; a truncated word ends the
-        # run (truncation binds the final token).
+        # A run of bare words is one phrase term; a word ending in '*' ends
+        # the run (truncation binds the final token).
         words = []
         while True:
+            if tok[0] == "*" and not _term_text(tok, False)[0]:
+                raise _Syntax(i, QueryParseError, "bare '*' is not a term")
             i += 1
-            truncated = tok[-1] == "*"
-            if truncated:
-                tok = tok.rstrip("*")
-                if not tok:
-                    raise _Syntax()
             words.append(tok)
-            if truncated or i == n:
+            if tok[-1] == "*" or i == n:
                 break
             tok = tokens[i]
             if tok[0] in '()[]"“”' or tok in _OPS:
                 break
-        text = " ".join(words)
+        text, truncated = _term_text(" ".join(words), False)
     field_tag = ALL_FIELDS
     if i < n and tokens[i][0] == "[":
         tag = tokens[i]
@@ -387,14 +393,22 @@ def parse(text: str) -> Query:
 _NEEDS_QUOTES = re.compile(r'[\s()\[\]“”]')
 
 
-def _serialize_term(t: Term) -> str:
+def _unwritable(t: Term) -> Optional[str]:
+    """Why a term has no text form, or None (only a hand-built one lacks it)."""
     if '"' in t.text:
-        raise ValueError(f"term text contains a quote character: {t.text!r}")
+        return f"term text contains a quote character: {t.text!r}"
     if t.field.kind is FieldKind.OTHER and t.field.raw and "]" in t.field.raw:
-        raise ValueError(f"field tag contains ']': {t.field.raw!r}")
+        return f"field tag contains ']': {t.field.raw!r}"
+    return None
+
+
+def _serialize_term(t: Term) -> str:
+    reason = _unwritable(t)
+    if reason is not None:
+        raise ValueError(reason)
     text = t.text + ("*" if t.truncated else "")
     # Operator-named terms must be quoted or they would lex as operators.
-    if _NEEDS_QUOTES.search(t.text) or t.text.upper() in ("AND", "OR", "NOT"):
+    if _NEEDS_QUOTES.search(t.text) or t.text in _OPS:
         text = f'"{text}"'
     return f"{text}[{t.field.spelled()}]"
 
@@ -509,31 +523,17 @@ def validate(q: Query, vocab=None) -> ValidationReport:
     warnings: list[ValidationIssue] = []
     # Not a recursive closure: one is a cycle, holding vocab until a gc run.
     for term in iter_terms(q.root):
-        if '"' in term.text:
-            errors.append(
+        reason = _unwritable(term)
+        if reason is not None:
+            errors.append(ValidationIssue("unserializable-term", reason, term.text))
+        elif term.field.kind is FieldKind.OTHER:
+            warnings.append(
                 ValidationIssue(
-                    "unserializable-term",
-                    "term text contains a quote character",
+                    "unknown-field-tag",
+                    f"unrecognized field tag [{term.field.raw}]; executed as All Fields",
                     term.text,
                 )
             )
-        if term.field.kind is FieldKind.OTHER:
-            if term.field.raw and "]" in term.field.raw:
-                errors.append(
-                    ValidationIssue(
-                        "unserializable-term",
-                        f"field tag contains ']': {term.field.raw!r}",
-                        term.text,
-                    )
-                )
-            else:
-                warnings.append(
-                    ValidationIssue(
-                        "unknown-field-tag",
-                        f"unrecognized field tag [{term.field.raw}]; executed as All Fields",
-                        term.text,
-                    )
-                )
         if term.truncated and len(term.text.replace(" ", "")) < MIN_TRUNCATION_STEM:
             warnings.append(
                 ValidationIssue(

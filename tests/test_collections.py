@@ -261,6 +261,29 @@ def test_corpus_readers_reject_fields_of_the_wrong_type(tmp_path, reader, bad_li
     assert exc.value.line_no == 3
 
 
+# Lines the JSONL reader cannot decode.  400 good lines come first, more than
+# the 8 KiB that text decoding reads ahead, so an error from the decoder would
+# name an earlier line than the one holding the fault.
+UNDECODABLE = {
+    "not-utf-8": (b'{"pmid":"x","title":"caf\xff"}', "not UTF-8 at column 25"),
+    "5000-digit-pmid": (b'{"pmid":' + b"9" * 5000 + b',"title":"t"}', "invalid JSON: Exceeds"),
+    "nested-too-deep": (b'{"pmid":"x","title":"t","mesh":' + b"[" * 100_000 + b"]" * 100_000
+                        + b"}", "invalid JSON: maximum recursion depth"),
+}
+
+
+@pytest.mark.parametrize("reader", CORPUS_READERS.values(), ids=CORPUS_READERS)
+@pytest.mark.parametrize("bad_line,reason", UNDECODABLE.values(), ids=UNDECODABLE)
+def test_corpus_readers_name_the_line_of_an_undecodable_value(tmp_path, reader, bad_line, reason):
+    good = "".join(f'{{"pmid":"{i}","title":"café {i}"}}\n' for i in range(1, 401)).encode()
+    assert len(good) > 8 * 1024
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(good + bad_line + b'\n{"pmid":"y","title":"t"}\n')
+    with pytest.raises(MalformedLineError, match=f":401: {reason}") as exc:
+        reader(path)
+    assert exc.value.line_no == 401
+
+
 def test_iter_corpus_yields_the_docs_before_a_bad_line(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"pmid":"1","title":"a"}\n{"pmid":"1","title":"b"}\n')

@@ -20,6 +20,7 @@ from srquery.gateway import (
     NoEntriesError,
     NoParsableQueryError,
     NoTermsFoundError,
+    ResponseFormatError,
     UnknownCategoryError,
     complete,
     conversation_digest,
@@ -237,6 +238,11 @@ def test_extract_handles_trailing_punctuation_via_span():
     assert extract_query(GUIDED_ANSWERS["step3"]) is not None
 
 
+def test_extract_takes_the_first_of_two_equally_long_spans():
+    response = "Either (a[tiab] AND b[tiab]) or (c[tiab] AND d[tiab]) will do."
+    assert serialize(extract_query(response)) == "(a[Title/Abstract] AND b[Title/Abstract])"
+
+
 # ---------------------------------------------------------------------------
 # generate_with_retry
 # ---------------------------------------------------------------------------
@@ -322,6 +328,13 @@ def test_parse_categorized_unknown_category():
 def test_parse_categorized_no_entries():
     with pytest.raises(NoEntriesError):
         parse_categorized_list("no lines here")
+
+
+def test_parse_categorized_reports_the_numbering_before_the_category():
+    # Both list readers check the numbering first, in one place.
+    with pytest.raises(ResponseFormatError, match="numbering does not increase") as exc:
+        parse_categorized_list("1. (A) x\n1. y")
+    assert type(exc.value) is ResponseFormatError
 
 
 # ---------------------------------------------------------------------------

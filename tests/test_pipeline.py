@@ -17,7 +17,13 @@ from conftest import stub_server
 from srquery import cli, entrez, pipeline, prompts, runlog
 from srquery.collections import MalformedLineError, Qrels, load_qrels
 from srquery.entrez import EntrezConfig, query_digest
-from srquery.gateway import BackendConfig, Conversation, MockBackend, conversation_digest
+from srquery.gateway import (
+    BackendConfig,
+    Conversation,
+    MockBackend,
+    conversation_digest,
+    extract_query,
+)
 from srquery.pipeline import (
     AppConfig,
     MissingSeedQueryError,
@@ -160,6 +166,16 @@ def test_formulate_failures_recorded_not_fatal(tmp_path):
     assert statuses == ["error", "error", "ok"]
     errors = [r for r in records if r.status == "error"]
     assert all("attempts" in r.error or r.error for r in errors)
+
+
+def test_formulate_logs_a_query_that_reads_back_as_the_answers_query(tmp_path):
+    # A starred phrase with trailing whitespace: the logged text is what
+    # execute parses, so it must be the tree extract_query accepted.
+    answer = '"heart attack* "[tiab]'
+    records = cmd_formulate(make_config(tmp_path), "q1", backend=MockBackend(script=[answer] * 3))
+    assert [r.status for r in records] == ["ok"] * 3
+    assert all(parse(r.query) == extract_query(answer) for r in records)
+    assert records[0].query == '"heart attack*"[Title/Abstract]'
 
 
 def test_formulate_is_idempotent(tmp_path):
@@ -595,8 +611,11 @@ def test_config_rejects_an_entrez_cache_dir(tmp_path):
     (b'{"esearchresult": {"count": "many", "idlist": []}}', "malformed esearch result"),
     (b'{"esearchresult": {"count": null, "idlist": []}}', "malformed esearch result"),
     (b'{"esearchresult": {"count": "2", "idlist": 7}}', "malformed esearch result"),
+    (b'{"esearchresult": {"count": "2", "idlist": [1, "2"]}}', "malformed esearch result"),
+    (b'{"esearchresult": {"count": "1", "idlist": [{"id": "1"}]}}', "malformed esearch result"),
+    (b'{"esearchresult": {"count": "2", "idlist": [3, 4]}}', "malformed esearch result"),
 ], ids=["not-json", "not-an-object", "result-not-an-object", "count-not-a-number",
-        "count-null", "idlist-not-a-list"])
+        "count-null", "idlist-not-a-list", "mixed-ids", "object-id", "integer-ids"])
 def test_execute_records_a_malformed_esearch_body(tmp_path, esearch_stub, body, error):
     _EsearchStub.raw_body = body
     cfg = entrez_config(tmp_path, esearch_stub)

@@ -117,6 +117,8 @@ PARSE_ERRORS = [
     ("“a b", UnbalancedQuoteError, "unclosed quote (at position 0)", 0),
     ('""', EmptyQueryError, "empty quoted phrase (at position 0)", 0),
     ("*", QueryParseError, "bare '*' is not a term (at position 0)", 0),
+    ("a AND *\x0b*", QueryParseError, "bare '*' is not a term (at position 6)", 6),
+    ('"* *"', EmptyQueryError, "empty quoted phrase (at position 0)", 0),
     ("”", UnbalancedQuoteError, "'”' without matching '“' (at position 0)", 0),
     ("a”b", UnbalancedQuoteError, "'”' without matching '“' (at position 1)", 1),
     ("(a AND b", UnbalancedParenError, "unclosed '(' (at position 0)", 0),
@@ -173,6 +175,15 @@ TIAB = FieldTag(FieldKind.TITLE_ABSTRACT)
     # Trailing whitespace that does not end a word is still skipped.
     ("a[tiab]\xa0", Term("a", TIAB), "a[Title/Abstract]"),
     ("a \x0b", Term("a"), "a[All Fields]"),
+    # A term's text is stripped, and a trailing '*' truncates inside or
+    # outside quotes, whitespace before it included.
+    ("b\x0b", Term("b"), "b[All Fields]"),
+    ("b\xa0*", Term("b", truncated=True), "b*[All Fields]"),
+    ('"foo* "', Term("foo", truncated=True), "foo*[All Fields]"),
+    ('"heart attack* "[tiab]', Term("heart attack", TIAB, truncated=True),
+     '"heart attack*"[Title/Abstract]'),
+    ('" heart attack **"*[tiab]', Term("heart attack", TIAB, truncated=True),
+     '"heart attack*"[Title/Abstract]'),
 ])
 def test_parse_tree_and_serialization(text, root, serialized):
     q = parse(text)
@@ -182,7 +193,11 @@ def test_parse_tree_and_serialization(text, root, serialized):
 
 # Outcomes recorded with the earlier character-by-character lexer, so any
 # change to one is a change of behaviour: [text, serialization] or
-# [text, error type, message, position].
+# [text, error type, message, position].  24 rows changed when a term's text
+# got one rule (stripped; a trailing '*' truncates, whitespace before it
+# allowed), because their old serialization parsed to a different tree:
+# 22 re-serialize, and "*\x0b*" and "and\x0b *\x0b " became the bare '*'
+# error.  No error row changed.
 # The texts are seeded: mutated serializations of random_query trees, random
 # strings over brackets, quotes, '*', AND/OR/NOT, field tags and the
 # whitespace that does not end a word (\t, \x0b, \xa0), and nesting around
@@ -326,6 +341,28 @@ def test_round_trip_1000_random_asts():
         assert parse(serialize(q)) == q
 
 
+# Letters, the whitespace that does and does not end a word, quotes, '*',
+# brackets, a field tag and operator words: the texts whose terms once read
+# back from their serialization as other terms.
+ROUND_TRIP_PIECES = [*"abxyz", " ", " ", "\t", "\x0b", "\xa0", *'"“”*[]()',
+                     "tiab", "AND", "or", "Not"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(ROUND_TRIP_PIECES), max_size=14).map("".join))
+@example('"foo* "')
+@example("b\x0b")
+@example('"* *"')
+def test_every_parsed_query_reads_back_from_its_serialization(text):
+    try:
+        q = parse(text)
+    except QueryParseError:
+        return
+    once = serialize(q)
+    assert parse(once) == q
+    assert serialize(parse(once)) == once
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=120))
 def test_parse_never_crashes_on_arbitrary_text(text):
@@ -423,6 +460,16 @@ def test_validate_matches_linear_leaf_scan(vocab):
                     and vocab.lookup(t.text) is None:
                 expected.append("mesh-not-in-vocabulary")
         assert sorted(w.code for w in report.warnings) == sorted(expected)
+
+
+@pytest.mark.parametrize("term", [Term('a"b'), Term("x", FieldTag(FieldKind.OTHER, "a]b"))],
+                         ids=["quote-in-text", "bracket-in-tag"])
+def test_validate_reports_why_serialize_refuses_a_term(term):
+    with pytest.raises(ValueError) as exc:
+        serialize(Query(term))
+    report = validate(Query(term))
+    assert [(e.code, e.message) for e in report.errors] == [("unserializable-term", str(exc.value))]
+    assert report.warnings == ()
 
 
 def test_unserializable_other_tag_is_an_error():
