@@ -314,7 +314,10 @@ def _numbered_lines(response: str) -> Iterator[tuple[str, int, str]]:
     for line in response.splitlines():
         m = _NUMBERED_RE.match(line)
         if m:
-            n = int(m.group(1))
+            try:
+                n = int(m.group(1))
+            except ValueError:  # int() refuses more than 4,300 digits
+                raise ResponseFormatError(f"list number of {len(m.group(1))} digits") from None
             if n <= last_n:
                 raise ResponseFormatError(f"list numbering does not increase at line {line!r}")
             last_n = n

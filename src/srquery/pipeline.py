@@ -544,14 +544,14 @@ def _write_csv(path: Path, rows: list[list]) -> None:
         csv.writer(f).writerows(rows)
 
 
-def _score_table(records: list[RunRecord], qrels: colls.Qrels
-                 ) -> dict[str, dict[str, dict[int, tuple[RunRecord, Metrics]]]]:
-    """method -> topic_id -> run_index -> (the latest ok evaluation record,
-    its ``Metrics``).  Each topic a method has gets one disposition:
-    evaluated, with its ok runs; a model failure, with no runs, when the
-    method attempted the topic, never evaluated it and the topic has
-    relevant judgments; or left out, when it has none."""
-    table: dict[str, dict[str, dict[int, tuple[RunRecord, Metrics]]]] = {}
+def _score_table(records: list[RunRecord], qrels: colls.Qrels) -> tuple[dict, dict]:
+    """Return ``(runs, scores)``, the one source of every topic score.
+    ``runs``: method -> evaluated topic_id -> run_index -> (the latest ok
+    evaluation record, its ``Metrics``), with nothing empty.  ``scores``:
+    method -> topic_id -> the topic's one ``Metrics``, the macro-average of
+    its runs, or zero for a model failure (attempted, never evaluated, with
+    relevant judgments).  A topic with no relevant judgments is left out."""
+    runs: dict[str, dict[str, dict[int, tuple[RunRecord, Metrics]]]] = {}
     attempted: dict[str, set[str]] = {}
     for record in records:
         method = _method_label(record.prompt_id, record.example_mode, record.seed_source)
@@ -565,13 +565,17 @@ def _score_table(records: list[RunRecord], qrels: colls.Qrels
                 retrieved_count=m.get("retrieved_count", 0),
                 relevant_count=m.get("relevant_count", 0), hit_count=m.get("hit_count", 0),
             )
-            table.setdefault(method, {}).setdefault(record.topic_id, {})[record.run_index] = (
+            runs.setdefault(method, {}).setdefault(record.topic_id, {})[record.run_index] = (
                 record, metrics)
+    scores = {method: {topic_id: macro_average(m for _, m in topic_runs.values())
+                       for topic_id, topic_runs in topics.items()}
+              for method, topics in runs.items()}
+    zero = Metrics(0.0, 0.0, 0.0, 0.0)
     for method, topic_ids in attempted.items():
-        for topic_id in sorted(topic_ids - set(table.get(method, ()))):
+        for topic_id in sorted(topic_ids - set(runs.get(method, ()))):
             if qrels.relevant_for(topic_id):
-                table.setdefault(method, {})[topic_id] = {}
-    return table
+                scores.setdefault(method, {})[topic_id] = zero
+    return runs, scores
 
 
 def cmd_analyze(cfg: AppConfig) -> dict:
@@ -588,13 +592,9 @@ def cmd_analyze(cfg: AppConfig) -> dict:
         log.warning("run log integrity problems: %s", problems)
     qrels = cfg.load_qrels()
     vocab = cfg.load_vocab()
-    # Analysis reads the evaluated topics only: a model failure has no run
-    # to select, classify or test.
-    by_method = {}
-    for method, topics in _score_table(all_records, qrels).items():
-        evaluated = {topic_id: runs for topic_id, runs in topics.items() if runs}
-        if evaluated:
-            by_method[method] = evaluated
+    # The per-method analysis reads the evaluated runs; the t-tests pair
+    # the per-topic scores that report.csv averages.
+    by_method, scores = _score_table(all_records, qrels)
 
     # An evaluation's parent is its execute record, which carries the query.
     executed = {r.run_id: r.query for r in all_records if r.stage == "execute"}
@@ -670,16 +670,14 @@ def cmd_analyze(cfg: AppConfig) -> dict:
 
         report["methods"][method] = method_report
 
-    # Significance matrices over per-topic mean scores, one CSV per metric.
-    # The t-tests pair only the topics that every method evaluated.
-    common_topics = sorted(set.intersection(*map(set, by_method.values()))) if by_method else []
-    for metric in _SCORES if len(by_method) >= 2 and len(common_topics) >= 2 else ():
-        scores = {
-            method: [sum(getattr(m, metric) for _, m in topics[t].values()) / len(topics[t])
-                     for t in common_topics]
-            for method, topics in by_method.items()
-        }
-        methods, cells, m = significance_matrix(scores)
+    # Significance matrices over the topics every method scored, one CSV
+    # per metric; a model failure pairs as zero, as report.csv counts it.
+    common_topics = sorted(set.intersection(*map(set, scores.values()))) if scores else []
+    for metric in _SCORES if len(scores) >= 2 and len(common_topics) >= 2 else ():
+        methods, cells, m = significance_matrix({
+            method: [getattr(topics[t], metric) for t in common_topics]
+            for method, topics in scores.items()
+        })
         rows = [["method"] + methods]
         for row_method in methods:
             row = [row_method]
@@ -706,27 +704,19 @@ def cmd_analyze(cfg: AppConfig) -> dict:
 
 
 def cmd_report(cfg: AppConfig) -> Path:
-    """Write per-topic scores and the per-method macro-average table
-    (Precision, F1, F3, Recall column order).
-
-    A topic a method attempted but never evaluated counts as zero in its
-    average; topics with no relevant judgments are excluded entirely.
-    """
+    """Write per_topic.csv, one row per evaluated run, and report.csv, each
+    method's macro-average (Precision, F1, F3, Recall column order) over its
+    per-topic scores from ``_score_table``, which its t-tests pair."""
     cfg.ensure_dirs()
-    table = _score_table(read_records(cfg.runlog), cfg.load_qrels())
-
-    # per_topic.csv lists the evaluated runs; a model failure has none.
-    # A topic with no evaluated run is a model failure, which scores zero.
-    zero = Metrics(0.0, 0.0, 0.0, 0.0)
+    runs, scores = _score_table(read_records(cfg.runlog), cfg.load_qrels())
     per_topic = [["topic_id", "prompt_id", "run_index", *_SCORES]]
-    averages = [["method", "topics", *_SCORES]]
-    for method, topics in sorted(table.items()):
-        for topic_id, runs in sorted(topics.items()):
-            for run_index, (_, m) in sorted(runs.items()):
+    for method, topics in sorted(runs.items()):
+        for topic_id, topic_runs in sorted(topics.items()):
+            for run_index, (_, m) in sorted(topic_runs.items()):
                 per_topic.append([topic_id, method, run_index, *_score_cells(m)])
-        agg = macro_average(macro_average(m for _, m in runs.values()) if runs else zero
-                            for runs in topics.values())
-        averages.append([method, len(topics), *_score_cells(agg)])
+    averages = [["method", "topics", *_SCORES]] + [
+        [method, len(topics), *_score_cells(macro_average(topics.values()))]
+        for method, topics in sorted(scores.items())]
     _write_csv(Path(cfg.report_dir) / "per_topic.csv", per_topic)
     report_path = Path(cfg.report_dir) / "report.csv"
     _write_csv(report_path, averages)

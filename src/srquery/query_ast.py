@@ -395,8 +395,10 @@ _NEEDS_QUOTES = re.compile(r'[\s()\[\]“”]')
 
 def _unwritable(t: Term) -> Optional[str]:
     """Why a term has no text form, or None (only a hand-built one lacks it)."""
-    if '"' in t.text:
+    if '"' in t.text or "”" in t.text:
         return f"term text contains a quote character: {t.text!r}"
+    if _term_text(t.text, t.truncated) != (t.text, t.truncated):
+        return f"term text has surrounding whitespace or a trailing '*': {t.text!r}"
     if t.field.kind is FieldKind.OTHER and t.field.raw and "]" in t.field.raw:
         return f"field tag contains ']': {t.field.raw!r}"
     return None

@@ -106,7 +106,9 @@ def request_json(url: str, *, timeout: float, payload=None, headers: Optional[di
                 with e:
                     status, detail = e.code, e.read(200).decode("utf-8", "replace")
                     hint = (e.headers.get("Retry-After") or "").strip()
-                    retry_after = int(hint) if hint.isascii() and hint.isdigit() else None
+                    # int() refuses more than 4,300 digits; 20 digits exceed any timeout.
+                    retry_after = ((int(hint) if len(hint) < 20 else float("inf"))
+                                   if hint.isascii() and hint.isdigit() else None)
         except (OSError, http.client.HTTPException) as e:
             raise HttpError(0, str(getattr(e, "reason", e))) from e
         finally:

@@ -250,6 +250,18 @@ def test_retry_after_beyond_timeout_fails_at_once(esearch_stub):
     assert len(_EsearchStub.requests_seen) == 1
 
 
+def test_a_retry_after_too_long_for_int_fails_at_once(esearch_stub):
+    # int() refuses a string of more than 4,300 digits.
+    _EsearchStub.fail_once = 503
+    _EsearchStub.retry_after = "9" * 5000
+    slept = []
+    with pytest.raises(HttpError, match="exceeds the timeout") as exc:
+        request_json(f"{esearch_stub}?term=x", timeout=5.0, backoff=0.0, sleep=slept.append)
+    assert exc.value.status == 503
+    assert slept == []
+    assert len(_EsearchStub.requests_seen) == 1
+
+
 def test_rate_limit_invariants(monkeypatch):
     monkeypatch.delenv("NCBI_API_KEY", raising=False)
     with pytest.raises(ValueError):

@@ -3,18 +3,24 @@ import hashlib
 import importlib.util
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import stub_server
 from srquery import cli, entrez, pipeline, prompts, runlog
+from srquery.analysis import significance_matrix
 from srquery.collections import MalformedLineError, Qrels, load_qrels
 from srquery.entrez import EntrezConfig, query_digest
 from srquery.gateway import (
@@ -24,6 +30,7 @@ from srquery.gateway import (
     conversation_digest,
     extract_query,
 )
+from srquery.metrics import Metrics
 from srquery.pipeline import (
     AppConfig,
     MissingSeedQueryError,
@@ -396,6 +403,18 @@ def test_guided_records_a_seed_study_with_a_null_abstract(tmp_path):
         ("gen:guided:none:s1011:SR101:r0", "ok"), ("gen:guided:none:s1012:SR100:r0", "error")]
     assert records[1].error == ("guided session for topic SR100 needs a seed with "
                                 "title and abstract")
+
+
+def test_guided_records_a_list_number_too_long_for_int(tmp_path):
+    # int() refuses more than 4,300 digits: each session retries the answer
+    # and then records its topic's error, without the number.
+    cfg = make_config(tmp_path, topics_file="seed_topics.jsonl", max_retries=1)
+    records = cmd_guided(cfg, backend=MockBackend(script=["9" * 5000 + ". x"] * 6))
+    assert sorted((r.run_id, r.status, r.error) for r in records) == [
+        ("gen:guided:none:-:SR102:r0", "error", "topic SR102 has no seed study")] + [
+        (f"gen:guided:none:s{pmid}:{topic_id}:r0", "error", "no valid query after 2 attempts "
+         "(attempt 2 step 1: list number of 5000 digits)")
+        for pmid, topic_id in (("1005", "SR101"), ("1011", "SR101"), ("1012", "SR100"))]
 
 
 def test_guided_pipeline_through_evaluation(tmp_path):
@@ -889,11 +908,9 @@ def test_report_counts_a_failed_evaluable_topic_as_zero(tmp_path):
             sum(m[metric] for m in scored) / 3, abs=1e-6)
 
 
-def test_report_averages_over_more_topics_than_the_t_tests_pair(tmp_path):
-    # A characterization of the current rules, not a goal: report.csv scores
-    # CD900002 as a q1 failure, but the t-tests pair only the topics every
-    # method evaluated.  Choosing one topic set for both (ROADMAP item 9,
-    # step 2) will reconcile the two counts.
+def test_the_t_tests_pair_the_topics_report_csv_averages(tmp_path):
+    # report.csv scores CD900002 as a q1 failure, and the t-tests pair it
+    # as zero: the tests and the averages describe the same three topics.
     cfg, _ = q1_with_a_failed_and_an_unjudged_topic(tmp_path)
     cmd_ingest(cfg)
     cmd_execute(cfg)
@@ -903,7 +920,7 @@ def test_report_averages_over_more_topics_than_the_t_tests_pair(tmp_path):
     with open(tmp_path / "reports" / "report.csv", newline="") as f:
         rows = {row["method"]: row for row in csv.DictReader(f)}
     assert rows["q1"]["topics"] == "3" and rows["original"]["topics"] == "3"
-    assert significance["recall"]["paired_topics"] == 2
+    assert {sig["paired_topics"] for sig in significance.values()} == {3}
 
 
 def test_analyze_report_contents(tmp_path):
@@ -1032,15 +1049,18 @@ SCORE_RECORDS = [
 
 
 def test_score_table_gives_each_topic_one_disposition():
-    table = pipeline._score_table(SCORE_RECORDS, load_qrels(FIXTURES / "qrels.txt"))
-    # q1's CD900001 keeps its two ok runs, CD900002 is a failure with no
-    # runs and the unjudged CD999999 is left out; q2 has only a failure,
-    # and q3, which attempted only the unjudged topic, has no entry.
-    assert {method: {topic_id: sorted(runs) for topic_id, runs in topics.items()}
-            for method, topics in table.items()} == {
-        "q1": {"CD900001": [0, 1], "CD900002": []}, "q2": {"CD900001": []}}
-    record, metrics = table["q1"]["CD900001"][1]
+    runs, scores = pipeline._score_table(SCORE_RECORDS, load_qrels(FIXTURES / "qrels.txt"))
+    # q1's CD900001 keeps its two ok runs, CD900002 is a failure that
+    # scores zero and the unjudged CD999999 is left out; q2 has only a
+    # failure, and q3, which attempted only the unjudged topic, has no entry.
+    assert {method: {topic_id: sorted(topic_runs) for topic_id, topic_runs in topics.items()}
+            for method, topics in runs.items()} == {"q1": {"CD900001": [0, 1]}}
+    record, metrics = runs["q1"]["CD900001"][1]
     assert record is SCORE_RECORDS[4] and metrics.recall == 0.5
+    # A topic's one score is the mean of its ok runs, or zero for a failure.
+    zero = Metrics(0.0, 0.0, 0.0, 0.0)
+    assert scores == {"q1": {"CD900001": Metrics(1.0, 0.75, 0.0, 0.0), "CD900002": zero},
+                      "q2": {"CD900001": zero}}
 
 
 def test_report_averages_ok_runs_and_scores_a_failed_topic_zero(tmp_path):
@@ -1065,6 +1085,68 @@ def test_score_table_looks_judgments_up_through_the_qrels_object(monkeypatch):
     monkeypatch.setattr(Qrels, "relevant_for", counting)
     pipeline._score_table(SCORE_RECORDS, load_qrels(FIXTURES / "qrels.txt"))
     assert sorted(looked_up) == ["CD900001", "CD900002", "CD999999", "CD999999", "CD999999"]
+
+
+_SCORE = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def drawn_score_records(draw):
+    """Generate records, each with or without an ok evaluation, for two or
+    three methods over the fixture topics and the unjudged CD999999."""
+    records = []
+    for prompt_id in draw(st.sampled_from([("original", "q1"), ("q1", "q2", "q4")])):
+        for topic_id in draw(st.sets(st.sampled_from(
+                ["CD900001", "CD900002", "CD900003", "CD999999"]), min_size=1)):
+            for run_index in range(draw(st.integers(1, 3))):
+                cell = f"{prompt_id}:{topic_id}:r{run_index}"
+                records.append(RunRecord(
+                    run_id=f"gen:{cell}", stage="generate", topic_id=topic_id,
+                    prompt_id=prompt_id, run_index=run_index))
+                if topic_id != "CD999999" and draw(st.booleans()):
+                    records.append(RunRecord(
+                        run_id=f"eval:{cell}", stage="evaluate", topic_id=topic_id,
+                        prompt_id=prompt_id, run_index=run_index,
+                        metrics={metric: draw(_SCORE) for metric in pipeline._SCORES}))
+    return records
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_score_records())
+def test_report_rows_average_the_scores_the_t_tests_pair(records):
+    inputs = []
+
+    def recording(per_method_scores):
+        inputs.append(per_method_scores)
+        return significance_matrix(per_method_scores)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(pipeline, "significance_matrix", recording):
+        cfg = make_config(Path(tmp))
+        append_records(cfg.runlog, records)
+        report = cmd_analyze(cfg)
+        cmd_report(cfg)
+        with open(Path(tmp) / "reports" / "report.csv", newline="") as f:
+            rows = {row["method"]: row for row in csv.DictReader(f)}
+    # A method scores each judged topic it attempted: CD999999 is unjudged.
+    scored: dict[str, set] = {}
+    for r in records:
+        if r.stage == "generate" and r.topic_id != "CD999999":
+            scored.setdefault(r.prompt_id, set()).add(r.topic_id)
+    common = set.intersection(*scored.values()) if scored else set()
+    assert set(rows) == set(scored)
+    if len(scored) < 2 or len(common) < 2:
+        assert inputs == [] and report["significance"] == {}
+        return
+    assert [report["significance"][metric]["paired_topics"] for metric in pipeline._SCORES] == [
+        len(common)] * 4
+    if any(topics != common for topics in scored.values()):
+        return
+    # Every method scored the same topics: each report.csv row is the mean
+    # of that method's significance inputs.
+    for metric, per_method in zip(pipeline._SCORES, inputs):
+        for method, vector in per_method.items():
+            assert rows[method]["topics"] == str(len(vector))
+            assert rows[method][metric] == f"{math.fsum(vector) / len(vector):.6f}"
 
 
 # ---------------------------------------------------------------------------

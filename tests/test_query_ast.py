@@ -4,12 +4,16 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from randgen import random_query
 from srquery import query_ast
 from srquery.query_ast import (
+    ALL_FIELDS,
+    MESH_EXPLODED,
+    MESH_NOEXP,
+    TITLE_ABSTRACT,
     AdjacentTermsError,
     EmptyQueryError,
     FieldKind,
@@ -361,6 +365,19 @@ def test_every_parsed_query_reads_back_from_its_serialization(text):
     once = serialize(q)
     assert parse(once) == q
     assert serialize(parse(once)) == once
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(ROUND_TRIP_PIECES), min_size=1, max_size=14).map("".join),
+       st.sampled_from([ALL_FIELDS, TITLE_ABSTRACT, MESH_EXPLODED, MESH_NOEXP]), st.booleans())
+@example('a”b', ALL_FIELDS, False)
+@example(" a", ALL_FIELDS, False)
+@example("a*", TITLE_ABSTRACT, False)
+def test_every_valid_hand_built_term_reads_back_from_its_serialization(text, tag, truncated):
+    assume(text.strip())
+    q = Query(Term(text, tag, truncated))
+    if validate(q).ok:
+        assert parse(serialize(q)) == q
 
 
 @settings(max_examples=300, deadline=None)
