@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterator, Optional
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "MissingFieldError",
     "iter_jsonl",
     "name_key",
+    "is_str_list",
     "load_topics",
     "load_qrels",
     "iter_corpus",
@@ -220,6 +222,11 @@ def _text(value, what: str, path, line_no: int) -> str:
     return value or ""
 
 
+def is_str_list(value) -> bool:
+    """Whether a decoded JSON value is a list of strings."""
+    return isinstance(value, list) and all(map(isinstance, value, repeat(str)))
+
+
 def _id(value, what: str, path, line_no: int) -> str:
     """An id field's value: a non-blank string as given, or an integer (not
     a bool) as its decimal string."""
@@ -336,7 +343,7 @@ def iter_corpus(path) -> Iterator[CorpusDoc]:
         abstract = _text(obj.get("abstract"), "abstract", path, line_no)
         mesh, pub_types = obj.get("mesh", []), obj.get("pub_types", [])
         for key, tags in (("mesh", mesh), ("pub_types", pub_types)):
-            if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+            if not is_str_list(tags):
                 raise MalformedLineError(path, line_no, f"{key} must be a list of strings")
         yield CorpusDoc(
             pmid=pmid,

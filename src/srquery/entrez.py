@@ -19,10 +19,10 @@ import os
 import tempfile
 import urllib.parse
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Optional
 
+from .collections import is_str_list
 from .query_ast import Query, serialize, sha256_hex
 from .ratelimit import HttpError, RateLimiter, request_json
 
@@ -94,10 +94,6 @@ def _cache_path(cache_dir, digest: str) -> Path:
     return Path(cache_dir) / f"{digest}.json"
 
 
-def _is_pmid_list(value) -> bool:
-    return isinstance(value, list) and all(map(isinstance, value, repeat(str)))
-
-
 def load_cached_result(cache_dir, digest: str) -> Optional[list[str]]:
     path = _cache_path(cache_dir, digest)
     try:
@@ -107,7 +103,7 @@ def load_cached_result(cache_dir, digest: str) -> Optional[list[str]]:
     except ValueError:  # not UTF-8, or not JSON
         entry = None
     pmids = entry.get("pmids") if isinstance(entry, dict) else None
-    if _is_pmid_list(pmids):
+    if is_str_list(pmids):
         return pmids
     log.warning("discarding unreadable cache entry %s", path)
     path.unlink(missing_ok=True)
@@ -165,8 +161,9 @@ def entrez_search(
             raise ApiError(f"malformed esearch response: {str(body)[:80]}")
         if "ERROR" in result:
             raise ApiError(str(result["ERROR"]))
-        count, ids = result.get("count", 0), result.get("idlist", [])
-        if not str(count).isdecimal() or not _is_pmid_list(ids):
+        count, ids = str(result.get("count", 0)), result.get("idlist", [])
+        # int() refuses more than 4,300 digits; 20 digits exceed any PubMed count.
+        if not (count.isdecimal() and len(count) < 20) or not is_str_list(ids):
             raise ApiError(f"malformed esearch result: {str(result)[:80]}")
         count = int(count)
         pmids.extend(ids)

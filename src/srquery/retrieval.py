@@ -43,8 +43,9 @@ over those exact tokens and stems, finds them in a single ``findall`` over
 each text, so a text is not split into tokens to find them.  A title or
 abstract text is stored, and only then split, when it is a phrase
 candidate: a field that holds every exactly matched token of some phrase.
-Such an index answers those queries and no others: a term it was not built
-for may miss documents.
+A field that no query reads (``_TEXT_FIELDS``, ``_NAME_FIELDS``) is not
+built at all.  Such an index answers those queries and no others: a term it
+was not built for may miss documents.
 
 The oracle (:func:`execute_naive`, ``_doc_matches``, ``_doc_term_match``,
 ``_phrase_at``, ``_exploded_names`` and :func:`explode_mesh`) re-tokenizes
@@ -152,6 +153,9 @@ _TEXT_FIELDS = {
     FieldKind.ALL_FIELDS: ("title", "abstract", "mesh"),
     FieldKind.OTHER: ("title", "abstract", "mesh"),
 }
+# The name field a MeSH or publication-type term reads, by field kind.
+_NAME_FIELDS = {FieldKind.MESH_EXPLODED: "descriptor", FieldKind.MESH_NOEXP: "descriptor",
+                FieldKind.PUBLICATION_TYPE: "pub_type"}
 
 
 def _alternation(exact: set[str], stems: set[str]) -> str:
@@ -184,13 +188,16 @@ def build_index(
     only when it holds every exactly matched token of some phrase.  One
     compiled pattern, a trie over the exact tokens and the stems, finds the
     tokens to post in a single scan of each text; a text is split into
-    tokens only when it is stored.  Descriptor and publication-type
-    postings and MeSH names are always whole."""
+    tokens only when it is stored.  A field that no query reads is not
+    built: its postings, texts, MeSH names or tree table stay empty."""
     exact: set[str] = set()
     stems: set[str] = set()
     phrases: set[frozenset[str]] = set()
+    read = set(_FIELDS) if queries is None else set()
     for term in (t for q in queries or () for t in iter_terms(q.root)):
-        tokens = tokenize(term.text) if term.field.kind in _TEXT_FIELDS else ()
+        kind = term.field.kind
+        read.update(_TEXT_FIELDS.get(kind) or (_NAME_FIELDS[kind],))
+        tokens = tokenize(term.text) if kind in _TEXT_FIELDS else ()
         if term.truncated and len(tokens) == 1:
             stems.add(tokens[0])
         elif tokens:
@@ -216,32 +223,38 @@ def build_index(
             return _spaced(chars.split()), posted
         return None, posted
 
-    canonical: dict[str, tuple[str, str, set[str]]] = {}  # raw tag -> name, spaced, posted
+    canonical: dict[str, tuple] = {}  # raw tag -> name key (, spaced, posted if "mesh" is read)
     postings = {field: defaultdict(list) for field in _FIELDS}
     texts: dict[str, dict[str, str]] = {"title": {}, "abstract": {}}
     mesh_names: dict[str, tuple[str, ...]] = {}
+    text_fields = [field for field in texts if field in read]
+    read_mesh, read_tags = "mesh" in read, not read.isdisjoint(("mesh", "descriptor"))
     for doc in docs.docs.values() if isinstance(docs, Corpus) else docs:
         pmid = doc.pmid
-        for field, text in (("title", doc.title), ("abstract", doc.abstract)):
-            spaced, posted = scan(text, always_store=False)
+        for field in text_fields:
+            spaced, posted = scan(getattr(doc, field), always_store=False)
             if spaced is not None:
                 texts[field][pmid] = spaced
             for tok in posted:
                 postings[field][tok].append(pmid)
-        for tag in doc.mesh_terms:
-            if tag not in canonical:
-                name = name_key(tag)
-                canonical[tag] = (name, *scan(name, always_store=True))
-        entries = [canonical[tag] for tag in doc.mesh_terms]
-        mesh_names[pmid] = tuple(spaced for _, spaced, _ in entries)
-        for name in {name for name, _, _ in entries}:
-            postings["descriptor"][name].append(pmid)
-        for tok in set().union(*(posted for _, _, posted in entries)):
-            postings["mesh"][tok].append(pmid)
-        for pub_type in {name_key(p) for p in doc.pub_types}:
-            postings["pub_type"][pub_type].append(pmid)
+        if read_tags:
+            for tag in doc.mesh_terms:
+                if tag not in canonical:
+                    name = name_key(tag)
+                    canonical[tag] = (name, *scan(name, always_store=True)) if read_mesh else (name,)
+            entries = [canonical[tag] for tag in doc.mesh_terms]
+        if read_mesh:
+            mesh_names[pmid] = tuple(spaced for _, spaced, _ in entries)
+            for tok in set().union(*(posted for _, _, posted in entries)):
+                postings["mesh"][tok].append(pmid)
+        if "descriptor" in read:
+            for name in {entry[0] for entry in entries}:
+                postings["descriptor"][name].append(pmid)
+        if "pub_type" in read:
+            for pub_type in {name_key(p) for p in doc.pub_types}:
+                postings["pub_type"][pub_type].append(pmid)
 
-    mesh_trees = () if vocab is None else tuple(sorted(
+    mesh_trees = () if vocab is None or "descriptor" not in read else tuple(sorted(
         (tree, name_key(d.name)) for d in vocab.descriptors.values() for tree in d.tree_numbers
     ))
     return Index(
@@ -313,15 +326,12 @@ def _index_term(idx: Index, term: Term) -> set[str]:
     kind = term.field.kind
     if kind in _TEXT_FIELDS:
         return _index_field_match(idx, _TEXT_FIELDS[kind], term)
-    keys = (name_key(term.text),)
-    if kind is FieldKind.PUBLICATION_TYPE:
-        field = "pub_type"
-    elif kind in (FieldKind.MESH_EXPLODED, FieldKind.MESH_NOEXP):
-        field = "descriptor"
-        if kind is FieldKind.MESH_EXPLODED and not term.truncated:
-            keys = _index_exploded_names(idx, keys[0])
-    else:
+    if kind not in _NAME_FIELDS:
         raise InvalidQueryError(f"unsupported field kind {kind}")
+    keys = (name_key(term.text),)
+    if kind is FieldKind.MESH_EXPLODED and not term.truncated:
+        keys = _index_exploded_names(idx, keys[0])
+    field = _NAME_FIELDS[kind]
     return set().union(*(pl for key in keys for pl in _lookup(idx, field, key, term.truncated)))
 
 

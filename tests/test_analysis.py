@@ -188,6 +188,14 @@ def test_classify_topic_rules():
     assert classify_topic(M(p=0.2, r=0.4), original) is TopicClass.NEUTRAL
 
 
+def test_classify_topic_ties_are_neutral():
+    original = M(p=0.1, r=0.5)
+    for oracle in (M(p=0.1, r=0.6), M(p=0.1, r=0.4),    # precision ties
+                   M(p=0.2, r=0.5), M(p=0.05, r=0.5),   # recall ties
+                   M(p=0.1, r=0.5)):
+        assert classify_topic(oracle, original) is TopicClass.NEUTRAL, oracle
+
+
 def test_classify_topic_partitions():
     rng = random.Random(31)
     for _ in range(300):

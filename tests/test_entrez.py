@@ -110,6 +110,13 @@ def test_pagination_25000_results_in_3_requests(esearch_stub, monkeypatch):
     assert starts == [0, 10_000, 20_000]
 
 
+def test_pagination_at_an_exact_multiple_of_retmax_asks_no_empty_page(esearch_stub):
+    _EsearchStub.count = 20_000
+    pmids = entrez_search(QUERY, cfg_for(esearch_stub), limiter=RateLimiter(10_000))
+    assert len(pmids) == 20_000
+    assert len(_EsearchStub.requests_seen) == 2
+
+
 def test_zero_results_single_request(esearch_stub):
     _EsearchStub.count = 0
     pmids = entrez_search(QUERY, cfg_for(esearch_stub), limiter=RateLimiter(10_000))
@@ -201,6 +208,15 @@ def test_api_error_surfaces(esearch_stub):
     _EsearchStub.error = "Invalid field tag"
     with pytest.raises(ApiError):
         entrez_search(QUERY, cfg_for(esearch_stub), limiter=RateLimiter(10_000))
+
+
+def test_a_count_too_long_for_int_is_an_api_error(esearch_stub):
+    # int() refuses more than 4,300 digits.
+    result = {"count": "9" * 5000, "idlist": []}
+    _EsearchStub.raw_body = json.dumps({"esearchresult": result}).encode()
+    with pytest.raises(ApiError, match="malformed esearch result"):
+        entrez_search(QUERY, cfg_for(esearch_stub), limiter=RateLimiter(10_000))
+    assert len(_EsearchStub.requests_seen) == 1
 
 
 def test_http_error_surfaces(esearch_stub, monkeypatch):

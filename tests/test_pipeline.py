@@ -629,12 +629,15 @@ def test_config_rejects_an_entrez_cache_dir(tmp_path):
     (b'{"esearchresult": ["count"]}', "malformed esearch response"),
     (b'{"esearchresult": {"count": "many", "idlist": []}}', "malformed esearch result"),
     (b'{"esearchresult": {"count": null, "idlist": []}}', "malformed esearch result"),
+    (b'{"esearchresult": {"count": "%s", "idlist": []}}' % (b"9" * 5000),
+     "malformed esearch result"),
     (b'{"esearchresult": {"count": "2", "idlist": 7}}', "malformed esearch result"),
     (b'{"esearchresult": {"count": "2", "idlist": [1, "2"]}}', "malformed esearch result"),
     (b'{"esearchresult": {"count": "1", "idlist": [{"id": "1"}]}}', "malformed esearch result"),
     (b'{"esearchresult": {"count": "2", "idlist": [3, 4]}}', "malformed esearch result"),
 ], ids=["not-json", "not-an-object", "result-not-an-object", "count-not-a-number",
-        "count-null", "idlist-not-a-list", "mixed-ids", "object-id", "integer-ids"])
+        "count-null", "count-too-long-for-int", "idlist-not-a-list", "mixed-ids", "object-id",
+        "integer-ids"])
 def test_execute_records_a_malformed_esearch_body(tmp_path, esearch_stub, body, error):
     _EsearchStub.raw_body = body
     cfg = entrez_config(tmp_path, esearch_stub)

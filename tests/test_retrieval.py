@@ -301,6 +301,40 @@ def query_driven_instances(seed: int, hard: int, plain: int):
                               for _ in range(rng.randint(1, 4))]
 
 
+# The index fields a term reads, by field kind.
+FIELDS_READ = {
+    FieldKind.TITLE: {"title"},
+    FieldKind.TITLE_ABSTRACT: {"title", "abstract"},
+    FieldKind.ALL_FIELDS: {"title", "abstract", "mesh"},
+    FieldKind.OTHER: {"title", "abstract", "mesh"},
+    FieldKind.MESH_EXPLODED: {"descriptor"},
+    FieldKind.MESH_NOEXP: {"descriptor"},
+    FieldKind.PUBLICATION_TYPE: {"pub_type"},
+}
+
+
+def fields_read(queries) -> set[str]:
+    return {field for q in queries for t in iter_terms(q.root)
+            for field in FIELDS_READ[t.field.kind]}
+
+
+def whole_parts(idx: Index) -> dict[str, tuple]:
+    """The parts of an index that a query-driven build makes whole when a
+    query reads their field, and leaves empty when none does."""
+    return {"descriptor": (idx.postings["descriptor"], idx.mesh_trees),
+            "pub_type": (idx.postings["pub_type"],),
+            "mesh": (idx.mesh_names,)}
+
+
+def assert_unread_fields_empty(idx: Index, read: set[str]) -> None:
+    for field in set(idx.postings) - read:
+        assert idx.postings[field] == {} and idx.sorted_keys[field] == (), field
+    for field in set(idx.texts) - read:
+        assert idx.texts[field] == {}, field
+    for field, parts in whole_parts(idx).items():
+        assert field in read or not any(parts), field
+
+
 def test_query_driven_index_equals_naive():
     for corpus, vocab, queries in query_driven_instances(626262, hard=150, plain=100):
         idx = build_index(corpus, vocab, queries=queries)
@@ -322,9 +356,9 @@ def test_query_driven_index_posts_only_query_tokens():
                 assert tok in exact or tok.startswith(stems), (field, tok)
                 assert pmids == full.postings[field][tok]
             dropped += len(full.postings[field]) - len(idx.postings[field])
-        assert idx.postings["descriptor"] == full.postings["descriptor"]
-        assert idx.postings["pub_type"] == full.postings["pub_type"]
-        assert idx.mesh_names == full.mesh_names
+        read, whole = fields_read(queries), whole_parts(full)
+        for field, parts in whole_parts(idx).items():
+            assert parts == (whole[field] if field in read else tuple(type(p)() for p in parts))
         # Stored texts are whole, and every text a phrase check reads is
         # stored: a field holding each exactly matched token of a phrase.
         for field, stored in idx.texts.items():
@@ -352,6 +386,49 @@ def test_query_driven_index_posts_only_query_tokens():
     assert execute_local(idx, parse("elast*")) == {"p1", "p2", "p3"}
     assert {field: list(idx.postings[field]) for field in ("title", "abstract", "mesh")} == {
         "title": ["elastography"], "abstract": ["elastic"], "mesh": ["elastin"]}
+
+
+@pytest.mark.parametrize("kinds", [
+    {FieldKind.TITLE},
+    {FieldKind.TITLE_ABSTRACT},
+    {FieldKind.MESH_EXPLODED, FieldKind.MESH_NOEXP},
+    {FieldKind.PUBLICATION_TYPE},
+    set(FieldKind),
+], ids=["ti", "tiab", "mesh", "pt", "mixed"])
+def test_build_for_one_kind_of_term_equals_naive_and_builds_no_other_field(kinds):
+    rng = random.Random(818181)
+    built = set()
+    for _ in range(40):
+        vocab = random_tree_vocab(rng)
+        corpus = random_hard_corpus(rng, vocab, max_docs=60)
+
+        def make_term(rng: random.Random) -> Term:
+            while (term := stem_or_hard_term(rng, vocab)).field.kind not in kinds:
+                pass
+            return term
+        queries = [random_query(rng, max_depth=3, max_terms=8, make_term=make_term)
+                   for _ in range(rng.randint(1, 4))]
+        idx = build_index(corpus, vocab, queries=queries)
+        for q in queries:
+            assert execute_local(idx, q) == execute_naive(corpus, q, vocab)
+        read = fields_read(queries)
+        assert_unread_fields_empty(idx, read)
+        built |= read
+    assert built == set().union(*(FIELDS_READ[kind] for kind in kinds))
+
+
+def test_title_only_build_holds_no_other_field(vocab):
+    corpus = Corpus({"p1": CorpusDoc(
+        pmid="p1", title="thyroid cancer", abstract="cancer screening",
+        mesh_terms=("Thyroid Neoplasms",), pub_types=("Review",))})
+    idx = build_index(corpus, vocab, queries=[parse("cancer[ti]")])
+    assert idx.postings["title"] == {"cancer": ["p1"]}
+    for field in ("abstract", "mesh", "descriptor", "pub_type"):
+        assert idx.postings[field] == {} and idx.sorted_keys[field] == ()
+    assert idx.texts == {"title": {}, "abstract": {}}
+    assert idx.mesh_names == {}
+    assert idx.mesh_trees == ()
+    assert execute_local(idx, parse("cancer[ti]")) == {"p1"}
 
 
 def test_streamed_build_equals_loaded_build(fixture_dir, topics, vocab):

@@ -46,6 +46,15 @@ def test_append_after_torn_line_heals_the_log(tmp_path, caplog):
     assert path.read_bytes().count(b"\n") == 3
 
 
+def test_append_after_a_tail_torn_one_byte_past_a_newline(tmp_path):
+    path = tmp_path / "runlog.jsonl"
+    append_records(path, [record("r1")])
+    with open(path, "ab") as f:
+        f.write(b"{")
+    append_records(path, [record("r2")])
+    assert [r.run_id for r in read_records(path)] == ["r1", "r2"]
+
+
 def test_complete_unterminated_final_record_is_kept(tmp_path):
     path = tmp_path / "runlog.jsonl"
     path.write_text(record("r1").to_json(), encoding="utf-8")
