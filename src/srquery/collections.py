@@ -16,7 +16,7 @@ Canonical on-disk formats:
 
 Every file is read by one line reader that skips blank lines; the JSONL
 files by :func:`iter_jsonl`, which names the file and line of a line that
-is not a JSON object.
+:func:`json_object`, the rule for every JSON text read from outside, refuses.
 
 All loaded structures are immutable after construction and safe to share
 across threads.
@@ -44,6 +44,7 @@ __all__ = [
     "DuplicateJudgmentError",
     "NegativeGradeError",
     "MissingFieldError",
+    "json_object",
     "iter_jsonl",
     "name_key",
     "is_str_list",
@@ -201,17 +202,26 @@ def _lines(path) -> Iterator[tuple[int, str]]:
                 yield line_no, line
 
 
+def json_object(text: str | bytes) -> dict:
+    """The object of a JSON text read from outside; any other text raises ``ValueError``."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as e:  # also too many digits or too deep
+        raise ValueError(f"invalid JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    return obj
+
+
 def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line of a JSONL
     file, in file order.  A line that is not a JSON object raises
     :class:`MalformedLineError` when it is reached."""
     for line_no, line in _lines(path):
         try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as e:  # also too many digits or too deep
-            raise MalformedLineError(path, line_no, f"invalid JSON: {e}") from e
-        if not isinstance(obj, dict):
-            raise MalformedLineError(path, line_no, "not a JSON object")
+            obj = json_object(line)
+        except ValueError as e:
+            raise MalformedLineError(path, line_no, str(e)) from e
         yield line_no, obj
 
 
@@ -220,6 +230,11 @@ def _text(value, what: str, path, line_no: int) -> str:
     if value is not None and not isinstance(value, str):
         raise MalformedLineError(path, line_no, f"{what} must be a string or null")
     return value or ""
+
+
+def _query(text: str) -> Optional[str]:
+    """A query text as given, or None when blank: a blank query is no query."""
+    return text if text.strip() else None
 
 
 def is_str_list(value) -> bool:
@@ -261,9 +276,7 @@ def load_topics(path) -> list[ReviewTopic]:
             raise MalformedLineError(path, line_no, "topic_id and title are required")
         if not isinstance(obj["title"], str) or not obj["title"].strip():
             raise MalformedLineError(path, line_no, "title must be a non-empty string")
-        original_query = obj.get("original_query")
-        if original_query is not None and not isinstance(original_query, str):
-            raise MalformedLineError(path, line_no, "original_query must be a string")
+        original_query = _query(_text(obj.get("original_query"), "original_query", path, line_no))
         topic_id = _id(obj["topic_id"], "topic_id", path, line_no)
         if topic_id in seen:
             raise DuplicateTopicError(topic_id)
@@ -279,14 +292,14 @@ def load_topics(path) -> list[ReviewTopic]:
     return topics
 
 
-def load_seed_queries(path) -> dict[str, str]:
-    """Load a seed-query file, ``topic_id -> query``; a later line for a
-    topic replaces an earlier one."""
-    queries: dict[str, str] = {}
+def load_seed_queries(path) -> dict[str, Optional[str]]:
+    """Load a seed-query file, ``topic_id -> query``, None for a blank
+    query; a later line for a topic replaces an earlier one."""
+    queries: dict[str, Optional[str]] = {}
     for line_no, obj in iter_jsonl(path):
         if "topic_id" not in obj or not isinstance(obj.get("query"), str):
             raise MalformedLineError(path, line_no, "needs topic_id and a string query")
-        queries[_id(obj["topic_id"], "topic_id", path, line_no)] = obj["query"]
+        queries[_id(obj["topic_id"], "topic_id", path, line_no)] = _query(obj["query"])
     return queries
 
 

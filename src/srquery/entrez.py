@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .collections import is_str_list
+from .collections import is_str_list, json_object
 from .query_ast import Query, serialize, sha256_hex
 from .ratelimit import HttpError, RateLimiter, request_json
 
@@ -97,12 +97,11 @@ def _cache_path(cache_dir, digest: str) -> Path:
 def load_cached_result(cache_dir, digest: str) -> Optional[list[str]]:
     path = _cache_path(cache_dir, digest)
     try:
-        entry = json.loads(path.read_text(encoding="utf-8"))
+        pmids = json_object(path.read_text(encoding="utf-8")).get("pmids")
     except FileNotFoundError:  # never stored, or discarded by another reader
         return None
-    except ValueError:  # not UTF-8, or not JSON
-        entry = None
-    pmids = entry.get("pmids") if isinstance(entry, dict) else None
+    except ValueError:  # not UTF-8, or not a JSON object
+        pmids = None
     if is_str_list(pmids):
         return pmids
     log.warning("discarding unreadable cache entry %s", path)
@@ -156,7 +155,7 @@ def entrez_search(
         params["retstart"] = retstart
         body = request_json(f"{url}?{urllib.parse.urlencode(params)}",
                             timeout=cfg.timeout, limiter=limiter)
-        result = body.get("esearchresult") if isinstance(body, dict) else None
+        result = body.get("esearchresult")
         if not isinstance(result, dict):
             raise ApiError(f"malformed esearch response: {str(body)[:80]}")
         if "ERROR" in result:
@@ -166,6 +165,8 @@ def entrez_search(
         if not (count.isdecimal() and len(count) < 20) or not is_str_list(ids):
             raise ApiError(f"malformed esearch result: {str(result)[:80]}")
         count = int(count)
+        if not ids and retstart < count:  # else a huge count would page forever
+            raise ApiError(f"esearch page at retstart {retstart} of count {count} has no ids")
         pmids.extend(ids)
         translation = result.get("querytranslation")
         if retstart == 0 and translation and translation != term:

@@ -21,9 +21,10 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from .collections import ReviewTopic, SeedStudy
+from .collections import ReviewTopic, SeedStudy, json_object
 from .prompts import PromptBindings, render
 from .query_ast import Query, QueryParseError, Term, parse, sha256_hex, validate
 from .ratelimit import HttpError, RateLimiter, request_json
@@ -197,8 +198,10 @@ class MockBackend:
 
     @classmethod
     def from_file(cls, path) -> "MockBackend":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls(fixtures=json.load(f))
+        try:
+            return cls(fixtures=json_object(Path(path).read_text(encoding="utf-8")))
+        except ValueError as e:  # also not UTF-8
+            raise ValueError(f"bad mock fixtures file {path}: {e}") from e
 
     def complete(self, conv: Conversation) -> str:
         with self._lock:  # concurrent sessions must not both take the last answer

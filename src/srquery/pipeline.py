@@ -133,14 +133,13 @@ class AppConfig:
 
     @classmethod
     def from_file(cls, path) -> "AppConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
         try:
+            obj = colls.json_object(Path(path).read_text(encoding="utf-8"))
             entrez_cfg = obj.pop("entrez", None)
             return cls(backend=BackendConfig(**obj.pop("backend", {})),
                        entrez=ez.EntrezConfig(**entrez_cfg) if entrez_cfg else None, **obj)
-        except TypeError as e:
-            raise UsageError(f"bad configuration key in {path}: {e}") from e
+        except (TypeError, ValueError) as e:  # a bad key or value, or not a UTF-8 JSON object
+            raise UsageError(f"bad configuration file {path}: {e}") from e
 
     def ensure_dirs(self) -> None:
         """Verify input paths and create the output directories."""
@@ -335,7 +334,7 @@ def _refinement_pool(
 def _seed_queries(cfg: AppConfig, seed_source: str, topics: list[colls.ReviewTopic],
                   logged: list[RunRecord]) -> dict[str, str]:
     """Map topic_id -> initial query text for the chosen seed source.  A
-    blank text is no seed, whatever its source."""
+    blank text is no seed: the loaders read one as None."""
     if seed_source == "original":
         queries = {t.topic_id: t.original_query for t in topics}
     elif seed_source == "q4-runlog":
@@ -348,7 +347,7 @@ def _seed_queries(cfg: AppConfig, seed_source: str, topics: list[colls.ReviewTop
                 f"seed source {seed_source!r} needs a query file under seed_query_files"
             )
         queries = colls.load_seed_queries(path)
-    return {tid: text for tid, text in queries.items() if text and text.strip()}
+    return {tid: text for tid, text in queries.items() if text}
 
 
 def _single_prompt(cfg: AppConfig, prompt_id: str, example_mode: str, seed_source: str,
@@ -655,18 +654,13 @@ def cmd_analyze(cfg: AppConfig) -> dict:
             )
             method_report["invalid_mesh_fraction"] = round(sum(invalid) / total, 4) if total else 0.0
 
-        # Across-run variability (needs >= 2 aligned runs per topic).
-        run_sets = {frozenset(runs) for runs in topics.values()}
-        if len(run_sets) == 1 and len(next(iter(run_sets))) >= 2:
-            variability = {}
-            for metric in _SCORES:
-                # A shallow copy: asdict would deep-copy every quartile.
-                entry = dict(vars(variability_summary(series_list, metric)))
-                del entry["metric"]
-                variability[metric] = entry
-            method_report["variability"] = variability
-        else:
+        try:  # across-run variability, which needs >= 2 aligned runs per topic
+            summaries = [vars(variability_summary(series_list, m)) for m in _SCORES]
+        except ValueError:
             method_report["variability"] = "unavailable (needs >= 2 aligned runs per topic)"
+        else:  # vars, not asdict, which would deep-copy every quartile
+            method_report["variability"] = {
+                s["metric"]: {k: v for k, v in s.items() if k != "metric"} for s in summaries}
 
         report["methods"][method] = method_report
 

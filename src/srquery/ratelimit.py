@@ -23,6 +23,8 @@ import threading
 import time
 from typing import Callable, Optional
 
+from .collections import json_object
+
 __all__ = ["RateLimiter", "HttpError", "request_json"]
 
 RETRYABLE = frozenset({429, 500, 502, 503, 504})
@@ -73,13 +75,13 @@ class RateLimiter:
 def request_json(url: str, *, timeout: float, payload=None, headers: Optional[dict] = None,
                  attempts: int = 3, backoff: float = 0.5, limiter: Optional[RateLimiter] = None,
                  sleep: Callable[[float], None] = time.sleep):
-    """GET ``url``, or POST ``payload`` as JSON, and return the decoded JSON
-    body.  Retryable statuses get up to ``attempts`` tries, waiting
+    """GET ``url``, or POST ``payload`` as JSON, and return the JSON object
+    of the body.  Retryable statuses get up to ``attempts`` tries, waiting
     ``backoff * 2**(n-1)`` before try n+1, or the response's delay-seconds
     ``Retry-After`` (an HTTP-date or a malformed value falls back to the
     backoff).  A ``Retry-After`` longer than ``timeout``, any other status,
-    a body that is not JSON, a connection failure or a timeout raises
-    ``HttpError`` at once."""
+    a body that is not a JSON object, a connection failure or a timeout
+    raises ``HttpError`` at once."""
     import http.client
     import urllib.error
     import urllib.request
@@ -99,9 +101,9 @@ def request_json(url: str, *, timeout: float, payload=None, headers: Optional[di
                 with urllib.request.urlopen(request, timeout=timeout) as resp:
                     status, body = resp.status, resp.read()
                 try:
-                    return json.loads(body)
-                except ValueError:
-                    raise HttpError(status, f"body is not JSON: {body[:80]!r}") from None
+                    return json_object(body)
+                except ValueError as e:
+                    raise HttpError(status, f"body {body[:80]!r}: {e}") from None
             except urllib.error.HTTPError as e:
                 with e:
                     status, detail = e.code, e.read(200).decode("utf-8", "replace")

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar, Iterable, Optional
 
+from .collections import json_object
 from .query_ast import Query, QueryParseError, parse
 
 __all__ = ["RunRecord", "RunLogError", "append_records", "read_records", "check_integrity"]
@@ -66,11 +67,9 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":
-        """A record from one log line.  Keys that are not fields are
-        dropped; a missing required field raises ``TypeError``."""
-        obj = json.loads(line)
-        if not isinstance(obj, dict):
-            raise TypeError("a record must be a JSON object")
+        """A record from one log line, a JSON object (else ``ValueError``).  Keys
+        that are not fields are dropped; a missing one raises ``TypeError``."""
+        obj = json_object(line)
         if obj.keys() <= cls._FIELD_NAMES:
             return cls(**obj)
         return cls(**{k: v for k, v in obj.items() if k in cls._FIELD_NAMES})

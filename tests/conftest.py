@@ -15,6 +15,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from srquery.collections import load_corpus, load_mesh, load_qrels, load_topics  # noqa: E402
 
+# A JSON text nested far deeper than any decoder's recursion limit.
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
 
 @pytest.fixture(scope="session")
 def fixture_dir() -> Path:

@@ -112,6 +112,13 @@ def test_bonferroni_values():
     assert bonferroni(0.42, 1) == pytest.approx(0.42)
 
 
+def test_bonferroni_takes_p_at_both_bounds_and_nothing_above_one():
+    assert bonferroni(1.0, 3) == 1.0  # a zero mean difference
+    assert bonferroni(0.0, 3) == 0.0
+    with pytest.raises(ValueError, match="p must be in"):
+        bonferroni(1.5, 1)
+
+
 def test_bonferroni_monotone_and_capped():
     rng = random.Random(3)
     for _ in range(200):

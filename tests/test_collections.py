@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DEEP_JSON
 from randgen import mesh_names
 from srquery.collections import (
     DuplicateJudgmentError,
@@ -11,11 +14,38 @@ from srquery.collections import (
     NegativeGradeError,
     Qrels,
     iter_corpus,
+    json_object,
     load_corpus,
     load_mesh,
     load_qrels,
+    load_seed_queries,
     load_topics,
 )
+
+
+# ---------------------------------------------------------------------------
+# the one rule for JSON read from outside
+# ---------------------------------------------------------------------------
+
+def test_json_object_returns_the_object_of_a_text_or_bytes():
+    assert json_object('{"a": [1]}') == json_object(b'{"a": [1]}') == {"a": [1]}
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"a": ', "invalid JSON: Expecting value"),
+    (b'{"a": "\xff"}', "invalid JSON: 'utf-8' codec"),
+    ("9" * 5000, "invalid JSON: Exceeds the limit"),  # int() takes at most 4,300 digits
+    (DEEP_JSON, "invalid JSON: maximum recursion depth exceeded"),
+    ("[]", "not a JSON object"),
+    ("null", "not a JSON object"),
+    ('"text"', "not a JSON object"),
+    ("5", "not a JSON object"),
+], ids=["truncated", "not-utf8", "too-many-digits", "too-deep", "array", "null", "string",
+        "number"])
+def test_json_object_raises_value_error_for_anything_but_an_object(text, reason):
+    with pytest.raises(ValueError) as exc:
+        json_object(text)
+    assert str(exc.value).startswith(reason), exc.value
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +61,17 @@ def test_load_topics_file_order_and_fields(tmp_path):
     topics = load_topics(path)
     assert [t.topic_id for t in topics] == ["CD010438", "CD000002"]
     assert topics[1].original_query == "a AND b"
+
+
+@pytest.mark.parametrize("blank", ["", "   ", "\t\n"], ids=["empty", "spaces", "tab-newline"])
+def test_a_blank_query_is_no_query_in_topics_and_seed_query_files(tmp_path, blank):
+    topics, seeds = tmp_path / "topics.jsonl", tmp_path / "seeds.jsonl"
+    topics.write_text(json.dumps({"topic_id": "CD1", "title": "one", "original_query": blank})
+                      + "\n")
+    seeds.write_text(json.dumps({"topic_id": "CD1", "query": "a[tiab]"}) + "\n"
+                     + json.dumps({"topic_id": "CD1", "query": blank}) + "\n")
+    assert load_topics(topics)[0].original_query is None
+    assert load_seed_queries(seeds) == {"CD1": None}
 
 
 def test_load_topics_empty_file(tmp_path):

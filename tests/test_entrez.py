@@ -10,8 +10,8 @@ from urllib.parse import parse_qs, urlparse
 
 import pytest
 
-from conftest import stub_server
-from srquery import entrez
+from conftest import DEEP_JSON, stub_server
+from srquery import entrez, ratelimit
 from srquery.entrez import (
     ApiError,
     EntrezConfig,
@@ -117,6 +117,21 @@ def test_pagination_at_an_exact_multiple_of_retmax_asks_no_empty_page(esearch_st
     assert len(_EsearchStub.requests_seen) == 2
 
 
+def test_a_search_without_a_limiter_paces_every_page_at_the_configured_rate(
+        esearch_stub, monkeypatch):
+    intervals = []
+
+    class SpyLimiter(RateLimiter):
+        def acquire(self):
+            intervals.append(self.interval)
+            return super().acquire()
+    monkeypatch.setattr(entrez, "RateLimiter", SpyLimiter)
+    _EsearchStub.count = 25
+    cfg = EntrezConfig(base_url=esearch_stub, retmax=10, api_key="k", rate_limit=10.0)
+    assert len(entrez_search(QUERY, cfg)) == 25
+    assert intervals == [0.1] * 3
+
+
 def test_zero_results_single_request(esearch_stub):
     _EsearchStub.count = 0
     pmids = entrez_search(QUERY, cfg_for(esearch_stub), limiter=RateLimiter(10_000))
@@ -158,8 +173,9 @@ def test_cache_round_trip(tmp_path):
     b'{"pmids": null}',
     b'{"pmids": ["1"]} trailing',
     b'{"pmids": ["\xff\xfe"]}',  # not UTF-8
+    DEEP_JSON,
 ], ids=["truncated", "empty-object", "array", "number", "string", "ints", "null",
-        "trailing", "not-utf8"])
+        "trailing", "not-utf8", "too-deep"])
 def test_unreadable_cache_entry_is_discarded(tmp_path, caplog, content):
     digest = query_digest("some term")
     path = tmp_path / f"{digest}.json"
@@ -323,6 +339,30 @@ def test_rate_limiter_spacing_under_8_threads():
     for i, start in enumerate(slots):
         in_window = [s for s in slots[i:] if s < start + 1.0]
         assert len(in_window) <= rate
+
+
+class _VirtualClock:
+    """Stands in for the ``time`` module: ``sleep`` moves ``monotonic`` on."""
+
+    def __init__(self):
+        self.now = 1000.0
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+
+@pytest.mark.parametrize("rate, gap", [(10.0, 0.1), (0.5, 2.0)])
+def test_rate_limiter_slots_are_one_interval_apart_and_callers_wait_for_them(
+        monkeypatch, rate, gap):
+    clock = _VirtualClock()
+    monkeypatch.setattr(ratelimit, "time", clock)
+    limiter = RateLimiter(rate)
+    slots = [limiter.acquire() for _ in range(5)]
+    assert [b - a for a, b in zip(slots, slots[1:])] == pytest.approx([gap] * 4, abs=1e-9)
+    assert slots[0] == 1000.0 and clock.now == pytest.approx(slots[-1], abs=1e-9)
 
 
 def test_rate_limiter_spaces_arrivals_of_late_sends():

@@ -1,11 +1,12 @@
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
 
-from conftest import stub_server
+from conftest import DEEP_JSON, stub_server
 from srquery.collections import ReviewTopic, SeedStudy
 from srquery.gateway import (
     BackendConfig,
@@ -132,6 +133,15 @@ def test_mock_missing_fixture():
         MockBackend().complete(conv)
 
 
+@pytest.mark.parametrize("content", ['["ab", "cd"]', DEEP_JSON.decode()],
+                         ids=["array", "too-deep"])
+def test_a_fixtures_file_that_is_not_an_object_is_refused_by_name(tmp_path, content):
+    path = tmp_path / "fixtures.json"
+    path.write_text(content)
+    with pytest.raises(ValueError, match=f"^bad mock fixtures file {re.escape(str(path))}: "):
+        MockBackend.from_file(path)
+
+
 def test_complete_requires_trailing_user_message():
     with pytest.raises(ValueError):
         complete(Conversation(), MockBackend(script=["x"]))
@@ -142,14 +152,14 @@ def test_complete_requires_trailing_user_message():
 # ---------------------------------------------------------------------------
 
 class _ChatStub(BaseHTTPRequestHandler):
-    responses = []  # list of (status, body_dict)
+    responses = []  # list of (status, body): a dict to encode, or bytes sent verbatim
     seen = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         _ChatStub.seen.append(json.loads(self.rfile.read(length)))
         status, body = _ChatStub.responses.pop(0)
-        payload = json.dumps(body).encode()
+        payload = body if isinstance(body, bytes) else json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import stub_server
+from conftest import DEEP_JSON, stub_server
 from srquery import cli, entrez, pipeline, prompts, runlog
 from srquery.analysis import significance_matrix
 from srquery.collections import MalformedLineError, Qrels, load_qrels
@@ -49,6 +49,7 @@ from srquery.query_ast import parse
 from srquery.retrieval import UnknownDescriptorError, build_index
 from srquery.runlog import RunRecord, append_records, check_integrity, read_records
 from test_entrez import _EsearchStub, esearch_stub  # noqa: F401 (a fixture)
+from test_gateway import _ChatStub, _ok_body, chat_stub  # noqa: F401 (a fixture)
 
 FIXTURES = Path(__file__).parent / "fixtures" / "collection"
 GUIDED_ANSWERS = json.loads(
@@ -96,6 +97,23 @@ def test_ingest_summary_and_original_records(tmp_path):
     records = read_records(cfg.runlog)
     assert all(r.prompt_id == "original" and r.stage == "generate" for r in records)
     assert check_integrity(records) == []
+
+
+def test_a_blank_original_query_is_no_baseline_for_its_topic(tmp_path):
+    topics = tmp_path / "topics.jsonl"
+    lines = (FIXTURES / "topics.jsonl").read_text().splitlines()
+    blanked = json.loads(lines[1])
+    blanked["original_query"] = "   "
+    topics.write_text("\n".join([lines[0], json.dumps(blanked), lines[2]]) + "\n")
+    cfg = make_config(tmp_path)
+    cfg.topics = str(topics)
+    summary = cmd_ingest(cfg)
+    assert summary["topics_with_original_query"] == summary["original_records_added"] == 2
+    assert [r.topic_id for r in read_records(cfg.runlog)] == ["CD900001", "CD900003"]
+    cmd_execute(cfg)
+    cmd_evaluate(cfg)
+    with open(cmd_report(cfg), newline="") as f:
+        assert [row["topics"] for row in csv.DictReader(f) if row["method"] == "original"] == ["2"]
 
 
 def test_ingest_rejects_a_duplicate_pmid_before_writing_any_record(tmp_path):
@@ -624,8 +642,8 @@ def test_config_rejects_an_entrez_cache_dir(tmp_path):
 
 
 @pytest.mark.parametrize("body, error", [
-    (b"<html>busy</html>", "HTTP 200: body is not JSON"),
-    (b"[1, 2]", "malformed esearch response"),
+    (b"<html>busy</html>", "HTTP 200: body b'<html>busy</html>': invalid JSON"),
+    (b"[1, 2]", "HTTP 200: body b'[1, 2]': not a JSON object"),
     (b'{"esearchresult": ["count"]}', "malformed esearch response"),
     (b'{"esearchresult": {"count": "many", "idlist": []}}', "malformed esearch result"),
     (b'{"esearchresult": {"count": null, "idlist": []}}', "malformed esearch result"),
@@ -635,9 +653,10 @@ def test_config_rejects_an_entrez_cache_dir(tmp_path):
     (b'{"esearchresult": {"count": "2", "idlist": [1, "2"]}}', "malformed esearch result"),
     (b'{"esearchresult": {"count": "1", "idlist": [{"id": "1"}]}}', "malformed esearch result"),
     (b'{"esearchresult": {"count": "2", "idlist": [3, 4]}}', "malformed esearch result"),
+    (DEEP_JSON, f"HTTP 200: body {DEEP_JSON[:80]!r}: invalid JSON: maximum recursion depth"),
 ], ids=["not-json", "not-an-object", "result-not-an-object", "count-not-a-number",
         "count-null", "count-too-long-for-int", "idlist-not-a-list", "mixed-ids", "object-id",
-        "integer-ids"])
+        "integer-ids", "too-deep"])
 def test_execute_records_a_malformed_esearch_body(tmp_path, esearch_stub, body, error):
     _EsearchStub.raw_body = body
     cfg = entrez_config(tmp_path, esearch_stub)
@@ -646,6 +665,38 @@ def test_execute_records_a_malformed_esearch_body(tmp_path, esearch_stub, body, 
     assert [(r.run_id, r.status) for r in records] == [(f"exec:entrez:{gen.run_id}", "error")]
     assert records[0].error.startswith(error), records[0].error
     assert read_records(cfg.runlog) == [gen, *records]
+
+
+def test_execute_records_an_esearch_page_with_no_ids_and_runs_the_next_cell(tmp_path,
+                                                                             monkeypatch):
+    calls = []
+
+    def request_json(url, **kwargs):
+        calls.append(url)
+        assert len(calls) < 4, "esearch kept paging past an empty page"
+        if len(calls) == 1:
+            return {"esearchresult": {"count": "9" * 19, "idlist": []}}
+        return {"esearchresult": {"count": "1", "idlist": ["1001"]}}
+    monkeypatch.setattr(entrez, "request_json", request_json)
+    cfg = make_config(tmp_path)
+    cfg.execution_backend = "entrez"
+    cmd_ingest(cfg)
+    records = cmd_execute(cfg)
+    assert [r.status for r in records] == ["error", "ok", "ok"]
+    assert records[0].error == f"esearch page at retstart 0 of count {'9' * 19} has no ids"
+    assert len(calls) == 3
+
+
+def test_execute_recomputes_a_cache_entry_nested_too_deep(tmp_path):
+    clean, cfg = make_config(tmp_path / "clean"), make_config(tmp_path)
+    cmd_ingest(clean)
+    expected = [r.retrieved_count for r in cmd_execute(clean)]
+    cmd_ingest(cfg)
+    digest = read_records(cfg.runlog)[0].query_digest
+    entry = Path(cfg.cache_dir) / f"{digest}.json"
+    entry.write_bytes(DEEP_JSON)
+    assert [r.retrieved_count for r in cmd_execute(cfg)] == expected
+    assert entrez.load_cached_result(cfg.cache_dir, digest) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +746,25 @@ def test_formulate_records_answers_nested_too_deep_per_topic(tmp_path):
     assert [(r.topic_id, r.status) for r in records] == [
         (topic_id, "error") for topic_id in ("CD900001", "CD900002", "CD900003")]
     assert all(r.error.startswith("no valid query after 4 attempts") for r in records)
+
+
+@pytest.mark.parametrize("body, error", [
+    (b"[]", "HTTP 200: body b'[]': not a JSON object"),
+    (b"null", "HTTP 200: body b'null': not a JSON object"),
+    (DEEP_JSON, f"HTTP 200: body {DEEP_JSON[:80]!r}: invalid JSON: maximum recursion depth"),
+], ids=["array", "null", "too-deep"])
+def test_formulate_records_a_chat_body_that_is_not_an_object(tmp_path, chat_stub, monkeypatch,
+                                                             body, error):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    answer = (200, _ok_body("(thyroid[tiab] AND screening[tiab])"))
+    _ChatStub.responses = [(200, body), answer, answer]
+    cfg = make_config(tmp_path)
+    cfg.backend = BackendConfig(kind="http", base_url=chat_stub, backoff_base=0.0)
+    records = cmd_formulate(cfg, "q1")
+    assert [(r.topic_id, r.status) for r in records] == [
+        ("CD900001", "error"), ("CD900002", "ok"), ("CD900003", "ok")]
+    assert records[0].error.startswith(error), records[0].error
+    assert read_records(cfg.runlog) == records
 
 
 def test_execute_records_an_unknown_descriptor(tmp_path, monkeypatch):
@@ -993,6 +1063,24 @@ def test_analyze_pairs_no_methods_over_one_shared_topic(tmp_path):
     assert set(report["methods"]) == {"q1"}
     assert report["significance"] == {}
     assert list((tmp_path / "reports").glob("significance_*.csv")) == []
+
+
+def test_analyze_writes_a_zero_mean_difference_as_p_one(tmp_path):
+    # Paired differences +0.25, -0.25, 0 have mean 0 and variance > 0: t = 0, p = 1.
+    cfg = make_config(tmp_path)
+    scores = {"original": (0.5, 0.5, 0.5), "q1": (0.75, 0.25, 0.5)}
+    append_records(cfg.runlog, [
+        RunRecord(run_id=f"eval:{prompt_id}:{topic_id}", stage="evaluate", topic_id=topic_id,
+                  prompt_id=prompt_id, metrics=dict.fromkeys(pipeline._SCORES, score))
+        for prompt_id, topic_scores in scores.items()
+        for topic_id, score in zip(("CD900001", "CD900002", "CD900003"), topic_scores)
+    ])
+    report = cmd_analyze(cfg)
+    for metric in pipeline._SCORES:
+        assert report["significance"][metric]["bonferroni_m"] == 1
+        text = (tmp_path / "reports" / f"significance_{metric}.csv").read_text()
+        assert list(csv.reader(text.splitlines())) == [
+            ["method", "original", "q1"], ["original", "", "1.000000"], ["q1", "1.000000", ""]]
 
 
 def test_analyze_parses_each_distinct_query_text_once(tmp_path, monkeypatch):
@@ -1369,6 +1457,20 @@ def test_cli_overrides_are_checked_like_the_config(tmp_path, capsys, flags, mess
     assert cli.main(["formulate", "--config", config, "--prompt", "q1", *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert read_records(tmp_path / "runlog.jsonl") == []
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[]", "not a JSON object"),
+    ("null", "not a JSON object"),
+    (DEEP_JSON.decode(), "invalid JSON: maximum recursion depth"),
+], ids=["array", "null", "too-deep"])
+def test_cli_names_a_config_file_that_is_not_an_object(tmp_path, capsys, text, reason):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert cli.main(["ingest", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad configuration file {path}: {reason}"), err
+    assert err.count("\n") == 1
 
 
 def test_cli_overrides_replace_the_config_values(tmp_path):

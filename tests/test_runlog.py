@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DEEP_JSON
 from srquery.runlog import (
     RunLogError,
     RunRecord,
@@ -63,7 +64,20 @@ def test_complete_unterminated_final_record_is_kept(tmp_path):
     assert [r.run_id for r in read_records(path)] == ["r1", "r2"]
 
 
-@pytest.mark.parametrize("bad", [b"{not json\n", b'{"run_id": "r\xff"}\n', b'["r2"]\n'])
+def test_a_torn_tail_nested_too_deep_is_skipped_then_cut(tmp_path, caplog):
+    path = tmp_path / "runlog.jsonl"
+    append_records(path, [record("r1")])
+    with open(path, "ab") as f:
+        f.write(DEEP_JSON)
+    with caplog.at_level(logging.WARNING, logger="srquery.runlog"):
+        assert [r.run_id for r in read_records(path)] == ["r1"]
+    assert "torn final line 2" in caplog.text
+    append_records(path, [record("r2")])
+    assert [r.run_id for r in read_records(path)] == ["r1", "r2"]
+
+
+@pytest.mark.parametrize("bad", [b"{not json\n", b'{"run_id": "r\xff"}\n', b'["r2"]\n',
+                                 pytest.param(DEEP_JSON + b"\n", id="too-deep")])
 def test_bad_line_before_the_end_stays_a_hard_error(tmp_path, bad):
     path = tmp_path / "runlog.jsonl"
     append_records(path, [record("r1")])
