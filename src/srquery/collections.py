@@ -25,10 +25,10 @@ across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache, cached_property
 from itertools import repeat
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 __all__ = [
     "SeedStudy",
@@ -45,6 +45,7 @@ __all__ = [
     "NegativeGradeError",
     "MissingFieldError",
     "json_object",
+    "json_fields",
     "iter_jsonl",
     "name_key",
     "is_str_list",
@@ -211,6 +212,43 @@ def json_object(text: str | bytes) -> dict:
     if not isinstance(obj, dict):
         raise ValueError("not a JSON object")
     return obj
+
+
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", type(None): "null"}
+
+
+def json_fields(cls, obj: dict) -> dict:
+    """``obj``, a decoded JSON object, once each value whose key names a field
+    of dataclass ``cls`` has that field's declared type: ``str``; ``int``, not
+    a bool; ``float``, any number but a bool; ``Optional[X]``; ``dict[str, X]``;
+    or a dataclass, an object checked alike.  Else ``ValueError`` names the
+    field and its JSON type."""
+    tests = _field_tests(cls)
+    for key, value in obj.items():
+        if key in tests and not tests[key](value):
+            kind = _JSON_TYPES.get(type(value)) or f"number {value}"
+            declared = cls.__dataclass_fields__[key].type
+            raise ValueError(f"{key}: {kind} where {declared} is declared")
+    return obj
+
+
+@cache  # once per class: its declarations are the one copy of its schema
+def _field_tests(cls) -> dict[str, Callable[[object], bool]]:
+    hints = get_type_hints(cls)
+    return {f.name: _json_test(hints[f.name]) for f in fields(cls)}
+
+
+def _json_test(t) -> Callable[[object], bool]:
+    origin, args = get_origin(t), get_args(t)
+    if t in (str, int, float):
+        return lambda v, kinds=(int, float) if t is float else (t,): type(v) in kinds
+    if origin is Union and args[1:] == (type(None),):
+        return lambda v, test=_json_test(args[0]): v is None or test(v)
+    if origin is dict and args[0] is str:
+        return lambda v, test=_json_test(args[1]): type(v) is dict and all(map(test, v.values()))
+    if is_dataclass(t):
+        return lambda v: type(v) is dict and json_fields(t, v) is v
+    raise NotImplementedError(f"no JSON rule for the declared type {t}")
 
 
 def iter_jsonl(path) -> Iterator[tuple[int, dict]]:

@@ -63,6 +63,8 @@ class EntrezConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.retmax <= MAX_RETMAX:
             raise ValueError(f"retmax must be in [1, {MAX_RETMAX}]")
+        if not self.timeout > 0:
+            raise ValueError("timeout must be > 0")
         limit = self.rate_limit
         if limit is not None:
             cap = self._ncbi_rate()

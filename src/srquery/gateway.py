@@ -170,6 +170,8 @@ class BackendConfig:
             raise ValueError("max_retries must be >= 0")
         if self.kind == "http" and not self.base_url:
             raise ValueError("http backend requires base_url")
+        if not (self.timeout > 0 and self.http_attempts >= 1 and self.backoff_base >= 0):
+            raise ValueError("need timeout > 0, http_attempts >= 1 and backoff_base >= 0")
 
     def describe(self) -> str:
         if self.kind == "mock":
@@ -199,7 +201,10 @@ class MockBackend:
     @classmethod
     def from_file(cls, path) -> "MockBackend":
         try:
-            return cls(fixtures=json_object(Path(path).read_text(encoding="utf-8")))
+            fixtures = json_object(Path(path).read_text(encoding="utf-8"))
+            if not all(type(answer) is str for answer in fixtures.values()):
+                raise ValueError("every answer must be a string")
+            return cls(fixtures=fixtures)
         except ValueError as e:  # also not UTF-8
             raise ValueError(f"bad mock fixtures file {path}: {e}") from e
 

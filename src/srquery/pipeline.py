@@ -61,7 +61,7 @@ from .prompts import (
 )
 from .query_ast import Query, QueryParseError, parse, serialize
 from .retrieval import InvalidQueryError, UnknownDescriptorError, build_index, execute_local
-from .runlog import RunRecord, append_records, check_integrity, read_records
+from .runlog import RunLogError, RunRecord, append_records, check_integrity, read_records
 
 __all__ = [
     "AppConfig",
@@ -134,7 +134,7 @@ class AppConfig:
     @classmethod
     def from_file(cls, path) -> "AppConfig":
         try:
-            obj = colls.json_object(Path(path).read_text(encoding="utf-8"))
+            obj = colls.json_fields(cls, colls.json_object(Path(path).read_text(encoding="utf-8")))
             entrez_cfg = obj.pop("entrez", None)
             return cls(backend=BackendConfig(**obj.pop("backend", {})),
                        entrez=ez.EntrezConfig(**entrez_cfg) if entrez_cfg else None, **obj)
@@ -557,13 +557,10 @@ def _score_table(records: list[RunRecord], qrels: colls.Qrels) -> tuple[dict, di
         if record.stage == "generate":
             attempted.setdefault(method, set()).add(record.topic_id)
         elif record.stage == "evaluate" and record.status == "ok":
-            m = record.metrics or {}
-            metrics = Metrics(
-                precision=m.get("precision", 0.0), recall=m.get("recall", 0.0),
-                f1=m.get("f1", 0.0), f3=m.get("f3", 0.0),
-                retrieved_count=m.get("retrieved_count", 0),
-                relevant_count=m.get("relevant_count", 0), hit_count=m.get("hit_count", 0),
-            )
+            try:  # Metrics refuses a missing score, an unknown key or too many hits
+                metrics = Metrics(**record.metrics)
+            except (TypeError, ValueError) as e:
+                raise RunLogError(f"run {record.run_id}: unreadable metrics: {e}") from e
             runs.setdefault(method, {}).setdefault(record.topic_id, {})[record.run_index] = (
                 record, metrics)
     scores = {method: {topic_id: macro_average(m for _, m in topic_runs.values())

@@ -8,7 +8,8 @@ log is byte-stable apart from timestamps.
 An append that dies mid-write leaves an unterminated, unreadable final
 line.  Readers warn and skip it, and the next append cuts it off before
 writing, so one crash never locks the log.  An unreadable line anywhere
-else is corruption and stays an error.
+else is corruption and stays an error.  A line is unreadable if it is not
+a JSON object, lacks a field or has a value of a type its field does not declare.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar, Iterable, Optional
 
-from .collections import json_object
+from .collections import json_fields, json_object
 from .query_ast import Query, QueryParseError, parse
 
 __all__ = ["RunRecord", "RunLogError", "append_records", "read_records", "check_integrity"]
@@ -52,7 +53,7 @@ class RunRecord:
     query: str = ""                 # canonical serialization
     query_digest: str = ""
     retrieved_count: Optional[int] = None
-    metrics: Optional[dict] = None
+    metrics: Optional[dict[str, float]] = None
     parent_run_id: str = ""
     status: str = "ok"              # ok | error | skipped
     error: str = ""
@@ -67,9 +68,9 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":
-        """A record from one log line, a JSON object (else ``ValueError``).  Keys
-        that are not fields are dropped; a missing one raises ``TypeError``."""
-        obj = json_object(line)
+        """A record from one log line, a JSON object of well-typed fields (else
+        ``ValueError``).  Unknown keys are dropped; a missing one raises ``TypeError``."""
+        obj = json_fields(cls, json_object(line))
         if obj.keys() <= cls._FIELD_NAMES:
             return cls(**obj)
         return cls(**{k: v for k, v in obj.items() if k in cls._FIELD_NAMES})

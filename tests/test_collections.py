@@ -1,4 +1,10 @@
+from __future__ import annotations
+
+import ast
 import json
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +20,7 @@ from srquery.collections import (
     NegativeGradeError,
     Qrels,
     iter_corpus,
+    json_fields,
     json_object,
     load_corpus,
     load_mesh,
@@ -46,6 +53,98 @@ def test_json_object_raises_value_error_for_anything_but_an_object(text, reason)
     with pytest.raises(ValueError) as exc:
         json_object(text)
     assert str(exc.value).startswith(reason), exc.value
+
+
+def _json_decodes(node, owner=None):
+    """The innermost enclosing function of each ``json.load(s)`` call, and
+    of each ``from json import`` (which would dodge the call's name)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _json_decodes(child, child.name)
+            continue
+        if isinstance(child, ast.ImportFrom) and child.module == "json" or (
+                isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr in ("load", "loads")
+                and isinstance(child.func.value, ast.Name) and child.func.value.id == "json"):
+            yield owner
+        yield from _json_decodes(child, owner)
+
+
+def test_only_json_object_and_the_bundled_data_reads_decode_json():
+    # Every JSON text read from outside goes through json_object; prompts.py
+    # decodes only the package's own manifest and high-quality example.
+    src = Path(__file__).parents[1] / "src" / "srquery"
+    found = sorted((path.name, owner) for path in src.rglob("*.py")
+                   for owner in _json_decodes(ast.parse(path.read_text(encoding="utf-8"))))
+    assert found == [("collections.py", "json_object"), ("prompts.py", "hqe_example"),
+                     ("prompts.py", "load_manifest")]
+
+
+@dataclass
+class _Typed:
+    name: str
+    count: int = 0
+    score: float = 0.0
+    note: Optional[str] = None
+    scores: Optional[dict[str, float]] = None
+
+
+@dataclass
+class _Outer:
+    inner: _Typed
+    spare: Optional[_Typed] = None
+
+
+def test_json_fields_passes_well_typed_values_and_keys_that_are_no_field():
+    obj = {"name": "a", "count": -2, "score": 1, "note": None, "scores": {"p": 0.5, "n": 3},
+           "not_a_field": [True]}
+    assert json_fields(_Typed, obj) is obj
+    assert json_fields(_Typed, {"score": 0.25, "note": "x", "scores": {}})
+    outer = {"inner": obj, "spare": {"name": "b", "scores": None}}
+    assert json_fields(_Outer, outer) is outer
+
+
+@pytest.mark.parametrize("cls, obj, message", [
+    (_Typed, {"name": 5}, "name: number 5 where str is declared"),
+    (_Typed, {"name": None}, "name: null where str is declared"),
+    (_Typed, {"count": True}, "count: boolean where int is declared"),
+    (_Typed, {"count": 2.0}, "count: number 2.0 where int is declared"),
+    (_Typed, {"count": "2"}, "count: string where int is declared"),
+    (_Typed, {"score": False}, "score: boolean where float is declared"),
+    (_Typed, {"score": "0.5"}, "score: string where float is declared"),
+    (_Typed, {"note": ["x"]}, "note: array where Optional[str] is declared"),
+    (_Typed, {"scores": [0.5]}, "scores: array where Optional[dict[str, float]] is declared"),
+    (_Typed, {"scores": {"p": "0.5"}},
+     "scores: object where Optional[dict[str, float]] is declared"),
+    (_Typed, {"scores": {"p": None}},
+     "scores: object where Optional[dict[str, float]] is declared"),
+    (_Outer, {"inner": []}, "inner: array where _Typed is declared"),
+    (_Outer, {"inner": None}, "inner: null where _Typed is declared"),
+    (_Outer, {"inner": {"name": "a"}, "spare": "b"}, "spare: string where Optional[_Typed]"),
+    (_Outer, {"inner": {"count": "1"}}, "count: string where int is declared"),
+    (_Outer, {"inner": {}, "spare": {"scores": {"p": True}}}, "scores: object where"),
+], ids=["str-number", "str-null", "int-bool", "int-fraction", "int-string", "float-bool",
+        "float-string", "optional-array", "dict-array", "dict-value-string", "dict-value-null",
+        "dataclass-array", "dataclass-null", "optional-dataclass-string", "nested-field",
+        "nested-optional-dict"])
+def test_json_fields_names_the_field_and_json_type_of_a_wrong_value(cls, obj, message):
+    with pytest.raises(ValueError) as exc:
+        json_fields(cls, obj)
+    assert str(exc.value).startswith(message), exc.value
+
+
+def test_json_fields_refuses_an_annotation_outside_its_forms_on_first_use():
+    @dataclass
+    class Listed:
+        names: list[str]
+
+    @dataclass
+    class Unioned:
+        value: Optional[int | str]
+
+    for cls in (Listed, Unioned):
+        with pytest.raises(NotImplementedError, match="no JSON rule for the declared type"):
+            json_fields(cls, {})
 
 
 # ---------------------------------------------------------------------------

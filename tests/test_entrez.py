@@ -1,4 +1,5 @@
 import json
+import logging
 import sys
 import threading
 import time
@@ -305,6 +306,42 @@ def test_rate_limit_invariants(monkeypatch):
     with pytest.raises(ValueError):
         EntrezConfig(retmax=20_000)
     assert EntrezConfig().effective_rate() == 3.0
+
+
+@pytest.mark.parametrize("value, bad", [(-1.0, True), (0, True), (0.5, False)])
+def test_entrez_timeout_must_be_positive(value, bad):
+    if bad:
+        with pytest.raises(ValueError, match="timeout must be > 0"):
+            EntrezConfig(timeout=value)
+    else:
+        assert EntrezConfig(timeout=value).timeout == value
+
+
+@pytest.mark.parametrize("translation, warnings", [
+    ("rewritten[All Fields]", 1), ("same", 0), (None, 0), ("", 0),
+], ids=["differs", "equal", "missing", "empty"])
+def test_a_rewritten_query_is_logged_once_on_the_first_page(monkeypatch, caplog,
+                                                            translation, warnings):
+    term = serialize(QUERY)
+    warned_before = {}  # retstart -> rewrite warnings logged before that page's request
+
+    def rewrites():
+        return [r.getMessage() for r in caplog.records if "rewrote the query" in r.getMessage()]
+
+    def request_json(url, **kwargs):
+        retstart = int(parse_qs(urlparse(url).query)["retstart"][0])
+        warned_before[retstart] = len(rewrites())
+        result = {"count": "5", "idlist": [str(retstart), str(retstart + 1)][:5 - retstart]}
+        if translation is not None:
+            result["querytranslation"] = term if translation == "same" else translation
+        return {"esearchresult": result}
+    monkeypatch.setattr(entrez, "request_json", request_json)
+    with caplog.at_level(logging.WARNING, logger="srquery.entrez"):
+        pmids = entrez_search(QUERY, EntrezConfig(base_url="http://stub", retmax=2))
+    assert pmids == {"0", "1", "2", "3", "4"}
+    assert warned_before == {0: 0, 2: warnings, 4: warnings}
+    assert rewrites() == ["PubMed rewrote the query (its term mapping is not emulated "
+                          f"locally): {translation!r}"] * warnings
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,27 @@ def test_a_fixtures_file_that_is_not_an_object_is_refused_by_name(tmp_path, cont
         MockBackend.from_file(path)
 
 
+@pytest.mark.parametrize("answer", [5, None, ["x"]], ids=["number", "null", "array"])
+def test_a_fixture_answer_that_is_not_a_string_is_refused_by_name(tmp_path, answer):
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps({"a" * 64: "ok", "b" * 64: answer}))
+    with pytest.raises(ValueError, match=f"^bad mock fixtures file {re.escape(str(path))}: "
+                                         "every answer must be a string$"):
+        MockBackend.from_file(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("timeout", 0), ("timeout", -1.0), ("http_attempts", 0), ("http_attempts", -1),
+    ("backoff_base", -0.5),
+])
+def test_transport_settings_out_of_range_are_refused(field, value):
+    with pytest.raises(ValueError, match="need timeout > 0, http_attempts >= 1 and "
+                                         "backoff_base >= 0"):
+        BackendConfig(kind="http", base_url="http://stub", **{field: value})
+    edge = {"timeout": 0.01, "http_attempts": 1, "backoff_base": 0.0}[field]
+    assert getattr(BackendConfig(**{field: edge}), field) == edge
+
+
 def test_complete_requires_trailing_user_message():
     with pytest.raises(ValueError):
         complete(Conversation(), MockBackend(script=["x"]))

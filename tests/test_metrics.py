@@ -57,6 +57,12 @@ def test_f_beta_zero_factor():
     assert f_beta(0.0, 0.0, 3.0) == 0.0
 
 
+def test_f_beta_refuses_a_beta_of_zero_or_below():
+    for beta in (0.0, -1.0):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            f_beta(0.5, 0.5, beta)
+
+
 def test_f_beta_direct_formula_point():
     # 2pr/(p+r) for the CLEF original-query averages; this is the plain
     # formula value, not a per-topic macro-average.

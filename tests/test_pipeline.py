@@ -5,11 +5,13 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import threading
 from collections import Counter
+from dataclasses import asdict, fields
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from unittest import mock
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import DEEP_JSON, stub_server
 from srquery import cli, entrez, pipeline, prompts, runlog
+from srquery import collections as colls
 from srquery.analysis import significance_matrix
 from srquery.collections import MalformedLineError, Qrels, load_qrels
 from srquery.entrez import EntrezConfig, query_digest
@@ -1165,6 +1168,68 @@ def test_report_averages_ok_runs_and_scores_a_failed_topic_zero(tmp_path):
             for method, row in rows.items()} == {"q1": ("2", 0.5, 0.375), "q2": ("1", 0.0, 0.0)}
 
 
+def _edit_q4_evaluation(tmp_path: Path, edit) -> tuple[AppConfig, int, str]:
+    """Run the fixture pipeline, then apply ``edit`` to the decoded first q4
+    evaluate record in the run log; returns its line number and run_id."""
+    cfg = run_full_pipeline(tmp_path)
+    lines = Path(cfg.runlog).read_text(encoding="utf-8").splitlines(keepends=True)
+    line_no, obj = next((n, json.loads(line)) for n, line in enumerate(lines, start=1)
+                        if '"stage": "evaluate"' in line and '"prompt_id": "q4"' in line)
+    edit(obj)
+    lines[line_no - 1] = json.dumps(obj, sort_keys=True) + "\n"
+    Path(cfg.runlog).write_text("".join(lines), encoding="utf-8")
+    return cfg, line_no, obj["run_id"]
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda o: o.update(metrics=[0.5]), "metrics: array where"),
+    (lambda o: o["metrics"].update(precision="0.5"), "metrics: object where"),
+    (lambda o: o.update(topic_id=5), "topic_id: number 5 where str is declared"),
+    (lambda o: o.update(status=None), "status: null where str is declared"),
+    (lambda o: o.update(run_index="0"), "run_index: string where int is declared"),
+], ids=["metrics-array", "precision-string", "topic-id-number", "status-null",
+        "run-index-string"])
+def test_analyze_and_report_name_the_line_of_a_wrongly_typed_record(tmp_path, edit, reason):
+    cfg, line_no, _ = _edit_q4_evaluation(tmp_path, edit)
+    for stage in (cmd_report, cmd_analyze):
+        with pytest.raises(runlog.RunLogError,
+                           match=f":{line_no}: unreadable record: {re.escape(reason)}"):
+            stage(cfg)
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda o: o["metrics"].pop("recall"), "missing 1 required positional argument: 'recall'"),
+    (lambda o: o["metrics"].update(hit_count=10**6), "hit_count cannot exceed"),
+    (lambda o: o["metrics"].update(map=0.5), "unexpected keyword argument 'map'"),
+    (lambda o: o.pop("metrics"), "must be a mapping"),
+], ids=["no-recall", "hit-count-above-counts", "unknown-score", "no-metrics"])
+def test_analyze_and_report_name_the_run_of_metrics_that_metrics_refuses(tmp_path, edit,
+                                                                          reason):
+    cfg, _, run_id = _edit_q4_evaluation(tmp_path, edit)
+    for stage in (cmd_report, cmd_analyze):
+        with pytest.raises(runlog.RunLogError) as exc:
+            stage(cfg)
+        assert str(exc.value).startswith(f"run {run_id}: unreadable metrics: "), exc.value
+        assert reason in str(exc.value)
+
+
+def test_every_record_and_configuration_read_from_json_declares_checkable_types(tmp_path):
+    # Each class's own values pass; a JSON array, which no declared field
+    # takes, is refused by the name and declared type of every field.
+    cfg = make_config(tmp_path)
+    cfg.entrez = EntrezConfig()
+    config = json.loads(json.dumps(asdict(cfg)))
+    metrics = dict(vars(Metrics(0.5, 1.0, 0.6, 0.9, 2, 1, 1)))
+    record = RunRecord(run_id="r", stage="evaluate", topic_id="T", prompt_id="q1",
+                       retrieved_count=3, metrics=metrics)
+    for cls, obj in ((AppConfig, config), (BackendConfig, config["backend"]),
+                     (EntrezConfig, config["entrez"]), (RunRecord, json.loads(record.to_json()))):
+        assert colls.json_fields(cls, obj) is obj
+        for f in fields(cls):
+            with pytest.raises(ValueError, match=f"^{f.name}: array where {re.escape(f.type)} "):
+                colls.json_fields(cls, {f.name: []})
+
+
 def test_score_table_looks_judgments_up_through_the_qrels_object(monkeypatch):
     # The benchmark's tracer counts lookups by rebinding Qrels.relevant_for.
     looked_up = []
@@ -1471,6 +1536,34 @@ def test_cli_names_a_config_file_that_is_not_an_object(tmp_path, capsys, text, r
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad configuration file {path}: {reason}"), err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda c: c.update(runs_per_topic=2.5), "runs_per_topic: number 2.5 where int"),
+    (lambda c: c.update(runs_per_topic="2"), "runs_per_topic: string where int"),
+    (lambda c: c.update(corpus=5), "corpus: number 5 where Optional[str]"),
+    (lambda c: c.update(seed_query_files={"original": 5}), "seed_query_files: object where"),
+    (lambda c: c["backend"].update(timeout="60"), "timeout: string where float"),
+    (lambda c: c.update(backend=[]), "backend: array where BackendConfig"),
+    (lambda c: c.update(entrez=5), "entrez: number 5 where Optional[ez.EntrezConfig]"),
+    (lambda c: c.update(entrez={"timeout": -1}), "timeout must be > 0"),
+    (lambda c: c["backend"].update(timeout=-1), "need timeout > 0"),
+    (lambda c: c["backend"].update(http_attempts=0), "http_attempts >= 1"),
+    (lambda c: c["backend"].update(backoff_base=-1), "backoff_base >= 0"),
+], ids=["runs-fraction", "runs-string", "corpus-number", "seed-files-number",
+        "backend-timeout-string", "backend-array", "entrez-number", "entrez-timeout-negative",
+        "chat-timeout-negative", "http-attempts-zero", "backoff-negative"])
+def test_cli_names_the_file_and_field_of_a_bad_config_value(tmp_path, capsys, edit, reason):
+    path = write_cli_config(tmp_path)
+    config = json.loads(path.read_text())
+    edit(config)
+    path.write_text(json.dumps(config))
+    for argv in (["ingest"], ["formulate", "--prompt", "q1"], ["execute"]):
+        assert cli.main([*argv, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad configuration file {path}: "), err
+        assert reason in err and err.count("\n") == 1, err
+    assert not (tmp_path / "runlog.jsonl").exists()
 
 
 def test_cli_overrides_replace_the_config_values(tmp_path):
