@@ -204,9 +204,10 @@ def _lines(path) -> Iterator[tuple[int, str]]:
 
 
 def json_object(text: str | bytes) -> dict:
-    """The object of a JSON text read from outside; any other text raises ``ValueError``."""
+    """The object of a JSON text read from outside; other text, NaN too, raises ``ValueError``."""
     try:
-        obj = json.loads(text)
+        obj = _DECODER.decode(text if isinstance(text, str)  # bytes: decoded as by json.loads
+                              else text.decode(json.detect_encoding(text), "surrogatepass"))
     except (ValueError, RecursionError) as e:  # also too many digits or too deep
         raise ValueError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict):
@@ -214,6 +215,11 @@ def json_object(text: str | bytes) -> dict:
     return obj
 
 
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_not_json)  # json.loads would build one per call
 _JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", type(None): "null"}
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 
 from .collections import is_str_list, json_object
 from .query_ast import Query, serialize, sha256_hex
-from .ratelimit import HttpError, RateLimiter, request_json
+from .ratelimit import HttpError, RateLimiter, check_settings, request_json
 
 __all__ = [
     "EntrezConfig",
@@ -63,16 +63,7 @@ class EntrezConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.retmax <= MAX_RETMAX:
             raise ValueError(f"retmax must be in [1, {MAX_RETMAX}]")
-        if not self.timeout > 0:
-            raise ValueError("timeout must be > 0")
-        limit = self.rate_limit
-        if limit is not None:
-            cap = self._ncbi_rate()
-            if limit <= 0 or limit > cap:
-                raise ValueError(
-                    f"rate_limit must be in (0, {cap}] "
-                    f"({'with' if cap == 10.0 else 'without'} an API key)"
-                )
+        check_settings(self.timeout, rate_limit=self.rate_limit, cap=self._ncbi_rate())
 
     def effective_api_key(self) -> Optional[str]:
         return self.api_key or os.environ.get("NCBI_API_KEY") or None

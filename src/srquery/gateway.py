@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence
 from .collections import ReviewTopic, SeedStudy, json_object
 from .prompts import PromptBindings, render
 from .query_ast import Query, QueryParseError, Term, parse, sha256_hex, validate
-from .ratelimit import HttpError, RateLimiter, request_json
+from .ratelimit import HttpError, RateLimiter, check_settings, request_json
 
 __all__ = [
     "Message",
@@ -170,8 +170,7 @@ class BackendConfig:
             raise ValueError("max_retries must be >= 0")
         if self.kind == "http" and not self.base_url:
             raise ValueError("http backend requires base_url")
-        if not (self.timeout > 0 and self.http_attempts >= 1 and self.backoff_base >= 0):
-            raise ValueError("need timeout > 0, http_attempts >= 1 and backoff_base >= 0")
+        check_settings(self.timeout, self.backoff_base, self.http_attempts, self.rate_limit)
 
     def describe(self) -> str:
         if self.kind == "mock":
@@ -226,7 +225,7 @@ class HttpBackend:
 
     def __init__(self, cfg: BackendConfig):
         self.cfg = cfg
-        self._limiter = RateLimiter(cfg.rate_limit) if cfg.rate_limit else None
+        self._limiter = RateLimiter(cfg.rate_limit) if cfg.rate_limit is not None else None
 
     def complete(self, conv: Conversation) -> str:
         api_key = os.environ.get("LLM_API_KEY")

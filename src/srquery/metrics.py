@@ -34,8 +34,10 @@ class Metrics:
     hit_count: int = 0
 
     def __post_init__(self) -> None:
-        if self.hit_count > min(self.retrieved_count, self.relevant_count):
-            raise ValueError("hit_count cannot exceed retrieved or relevant counts")
+        if not all(0 <= s <= 1 for s in (self.precision, self.recall, self.f1, self.f3)):
+            raise ValueError("scores must be in [0, 1]")
+        if not 0 <= self.hit_count <= min(self.retrieved_count, self.relevant_count):
+            raise ValueError("hit_count cannot exceed retrieved or relevant counts, nor be < 0")
 
 
 def precision(retrieved: set[str], relevant: set[str]) -> float:

@@ -1,12 +1,13 @@
 """The one HTTP transport of the network clients, and its request pacing.
 
 ``request_json`` serves both the chat backend and Entrez esearch on the
-standard library: every attempt takes a ``RateLimiter`` slot and reports
-its answer back to the limiter, so a sequential caller waits one interval
-after each answer before its next request is sent; 429 and 5xx
-gateway statuses are retried with exponential backoff, or after the wait a
-delay-seconds ``Retry-After`` asks for (RFC 9110 §10.2.3), and every failed
-request surfaces as one ``HttpError`` type.
+standard library: every attempt takes a ``RateLimiter`` slot and reports its
+answer back to the limiter, so a sequential caller waits one interval after
+each answer before its next request is sent; 429 and 5xx gateway statuses are
+retried with exponential backoff, or after the wait a delay-seconds
+``Retry-After`` asks for (RFC 9110 §10.2.3), and every failed request surfaces
+as one ``HttpError`` type.  ``check_settings`` is the one range rule of what
+they spend (timeout, backoff, attempts, rate), and NaN is in no range.
 
 The HTTP stack (``urllib.request``, which brings ``http.client``, ``ssl``
 and ``email``) is imported inside ``request_json``, so a run that never
@@ -19,15 +20,29 @@ request.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from typing import Callable, Optional
 
 from .collections import json_object
 
-__all__ = ["RateLimiter", "HttpError", "request_json"]
+__all__ = ["RateLimiter", "HttpError", "check_settings", "request_json"]
 
 RETRYABLE = frozenset({429, 500, 502, 503, 504})
+MAX_WAIT = threading.TIMEOUT_MAX  # seconds: the longest that time.sleep and a socket take
+
+
+def check_settings(timeout: float = 1.0, backoff_base: float = 0.0, http_attempts: int = 1,
+                   rate_limit: Optional[float] = None, *, cap: float = sys.float_info.max) -> None:
+    """The one range rule: ``ValueError`` names the first setting passed out of range."""
+    for name, ok, need in (
+            ("timeout", 0 < timeout <= MAX_WAIT, f"> 0 and <= {MAX_WAIT}"),
+            ("backoff_base", 0 <= backoff_base <= MAX_WAIT, f">= 0 and <= {MAX_WAIT}"),
+            ("http_attempts", 1 <= http_attempts, ">= 1"),
+            ("rate_limit", rate_limit is None or 0 < rate_limit <= cap, f"> 0 and <= {cap}")):
+        if not ok:
+            raise ValueError(f"{name} must be {need}")
 
 
 class HttpError(Exception):
@@ -51,8 +66,7 @@ class RateLimiter:
     before it: a sequential caller's requests arrive at least 1/rate apart."""
 
     def __init__(self, rate: float):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+        check_settings(rate_limit=rate)
         self.interval = 1.0 / rate
         self._lock = threading.Lock()
         self._next_allowed = 0.0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import copy
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,29 +56,83 @@ def test_json_object_raises_value_error_for_anything_but_an_object(text, reason)
     assert str(exc.value).startswith(reason), exc.value
 
 
-def _json_decodes(node, owner=None):
-    """The innermost enclosing function of each ``json.load(s)`` call, and
-    of each ``from json import`` (which would dodge the call's name)."""
+_FINITE_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(), children, max_size=3),
+    max_leaves=12)
+_JSON_OBJECTS = st.dictionaries(st.text(), _FINITE_JSON, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_OBJECTS, st.sampled_from(["utf-8", "utf-16", "utf-32"]))
+def test_json_object_round_trips_every_object_of_finite_numbers(obj, encoding):
+    text = json.dumps(obj)
+    assert json_object(text) == obj
+    assert json_object(text.encode(encoding)) == obj  # bytes are decoded as json.loads does
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_OBJECTS, st.sampled_from(["NaN", "Infinity", "-Infinity"]), st.data())
+def test_json_object_refuses_nan_and_the_infinities_at_any_depth(obj, constant, data):
+    # Python's json writes and reads these three words; JSON has no such value.
+    obj = copy.deepcopy(obj)
+    node = obj
+    while data.draw(st.booleans()):
+        inner = [v for v in (node.values() if isinstance(node, dict) else node)
+                 if isinstance(v, (dict, list))]
+        if not inner:
+            break
+        node = data.draw(st.sampled_from(inner))
+    if isinstance(node, dict):
+        node[data.draw(st.text())] = float(constant)
+    else:
+        node.insert(data.draw(st.integers(0, len(node))), float(constant))
+    for text in (json.dumps(obj), json.dumps(obj).encode()):
+        with pytest.raises(ValueError) as exc:
+            json_object(text)
+        assert str(exc.value) == f"invalid JSON: {constant} is not JSON"
+
+
+def _is_json_decode(node):
+    """A ``json.load``, ``json.loads`` or ``json.JSONDecoder``, or a ``from
+    json import`` or ``import json as`` (which would dodge their names)."""
+    return isinstance(node, ast.ImportFrom) and node.module == "json" or (
+        isinstance(node, ast.Import) and any(a.name == "json" and a.asname for a in node.names)
+    ) or (
+        isinstance(node, ast.Attribute) and node.attr in ("load", "loads", "JSONDecoder")
+        and isinstance(node.value, ast.Name) and node.value.id == "json")
+
+
+def _json_decodes(node, owner=None, is_site=_is_json_decode):
+    """The owner of each node that ``is_site``: its innermost enclosing
+    function, or at module level the name that its assignment binds."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _json_decodes(child, child.name)
+            yield from _json_decodes(child, child.name, is_site)
             continue
-        if isinstance(child, ast.ImportFrom) and child.module == "json" or (
-                isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                and child.func.attr in ("load", "loads")
-                and isinstance(child.func.value, ast.Name) and child.func.value.id == "json"):
+        if is_site(child):
             yield owner
-        yield from _json_decodes(child, owner)
+        if owner is None and isinstance(child, ast.Assign):
+            yield from _json_decodes(child, ast.unparse(child.targets[0]), is_site)
+        else:
+            yield from _json_decodes(child, owner, is_site)
 
 
 def test_only_json_object_and_the_bundled_data_reads_decode_json():
-    # Every JSON text read from outside goes through json_object; prompts.py
-    # decodes only the package's own manifest and high-quality example.
+    # Every JSON text read from outside goes through json_object, the one
+    # reader of the one decoder; prompts.py decodes only the package's own
+    # manifest and high-quality example.
     src = Path(__file__).parents[1] / "src" / "srquery"
     found = sorted((path.name, owner) for path in src.rglob("*.py")
                    for owner in _json_decodes(ast.parse(path.read_text(encoding="utf-8"))))
-    assert found == [("collections.py", "json_object"), ("prompts.py", "hqe_example"),
+    assert found == [("collections.py", "_DECODER"), ("prompts.py", "hqe_example"),
                      ("prompts.py", "load_manifest")]
+    readers = _json_decodes(ast.parse((src / "collections.py").read_text(encoding="utf-8")),
+                            is_site=lambda n: isinstance(n, ast.Name) and n.id == "_DECODER"
+                            and isinstance(n.ctx, ast.Load))
+    assert list(readers) == ["json_object"]
 
 
 @dataclass

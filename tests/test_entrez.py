@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import sys
 import threading
 import time
@@ -315,6 +316,39 @@ def test_entrez_timeout_must_be_positive(value, bad):
             EntrezConfig(timeout=value)
     else:
         assert EntrezConfig(timeout=value).timeout == value
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"timeout": float("inf")}, "timeout must be > 0 and <= "),
+    ({"timeout": float("nan")}, "timeout must be > 0 and <= "),
+    ({"timeout": 1e300}, "timeout must be > 0 and <= "),
+    ({"timeout": threading.TIMEOUT_MAX * 2}, "timeout must be > 0 and <= "),
+    ({"rate_limit": float("nan")}, "rate_limit must be > 0 and <= 3.0"),
+    ({"rate_limit": float("inf")}, "rate_limit must be > 0 and <= 3.0"),
+    ({"rate_limit": 0.0}, "rate_limit must be > 0 and <= 3.0"),
+    ({"rate_limit": 3.5}, "rate_limit must be > 0 and <= 3.0"),
+    ({"rate_limit": 10.5, "api_key": "k"}, "rate_limit must be > 0 and <= 10.0"),
+], ids=["timeout-inf", "timeout-nan", "timeout-1e300", "timeout-past-max", "rate-nan",
+        "rate-inf", "rate-zero", "rate-above-3", "rate-above-10-with-key"])
+def test_entrez_settings_refuse_nan_infinity_and_values_past_their_cap(monkeypatch, kwargs,
+                                                                       message):
+    monkeypatch.delenv("NCBI_API_KEY", raising=False)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        EntrezConfig(**kwargs)
+
+
+def test_entrez_takes_the_longest_wait_and_each_rate_cap(monkeypatch):
+    monkeypatch.delenv("NCBI_API_KEY", raising=False)
+    assert EntrezConfig(timeout=threading.TIMEOUT_MAX).timeout == threading.TIMEOUT_MAX
+    assert EntrezConfig(rate_limit=3.0).rate_limit == 3.0
+    assert EntrezConfig(rate_limit=10.0, api_key="k").rate_limit == 10.0
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0])
+def test_rate_limiter_refuses_a_rate_that_would_not_pace(rate):
+    # A NaN or infinite rate gave an interval of NaN or 0: slots with no gap.
+    with pytest.raises(ValueError, match="^rate_limit must be > 0"):
+        RateLimiter(rate)
 
 
 @pytest.mark.parametrize("translation, warnings", [

@@ -156,11 +156,37 @@ def test_a_fixture_answer_that_is_not_a_string_is_refused_by_name(tmp_path, answ
     ("backoff_base", -0.5),
 ])
 def test_transport_settings_out_of_range_are_refused(field, value):
-    with pytest.raises(ValueError, match="need timeout > 0, http_attempts >= 1 and "
-                                         "backoff_base >= 0"):
+    with pytest.raises(ValueError, match=f"^{field} must be >"):
         BackendConfig(kind="http", base_url="http://stub", **{field: value})
     edge = {"timeout": 0.01, "http_attempts": 1, "backoff_base": 0.0}[field]
     assert getattr(BackendConfig(**{field: edge}), field) == edge
+
+
+@pytest.mark.parametrize("field, value", [
+    ("timeout", float("inf")), ("timeout", float("nan")), ("timeout", 1e300), ("timeout", 1e10),
+    ("backoff_base", float("inf")), ("backoff_base", float("nan")), ("backoff_base", 1e300),
+    ("http_attempts", float("nan")), ("rate_limit", 0.0), ("rate_limit", -1.0),
+    ("rate_limit", float("inf")), ("rate_limit", float("nan")),
+])
+def test_transport_settings_refuse_nan_infinity_and_waits_past_timeout_max(field, value):
+    # Every wait stops at threading.TIMEOUT_MAX, the longest time.sleep and
+    # a socket take; a chat rate_limit of 0 is no longer "no limit".
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        BackendConfig(kind="http", base_url="http://stub", **{field: value})
+
+
+def test_the_longest_wait_and_any_finite_positive_rate_are_accepted():
+    longest = threading.TIMEOUT_MAX
+    cfg = BackendConfig(timeout=longest, backoff_base=longest, rate_limit=1e300)
+    assert (cfg.timeout, cfg.backoff_base, cfg.rate_limit) == (longest, longest, 1e300)
+    assert BackendConfig(rate_limit=1e-3).rate_limit == 1e-3
+
+
+@pytest.mark.parametrize("rate_limit, interval", [(None, None), (2.0, 0.5), (1e-3, 1e3)])
+def test_a_chat_rate_limit_of_none_and_none_other_means_no_limiter(rate_limit, interval):
+    backend = HttpBackend(BackendConfig(kind="http", base_url="http://stub",
+                                        rate_limit=rate_limit))
+    assert getattr(backend._limiter, "interval", None) == interval
 
 
 def test_complete_requires_trailing_user_message():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,32 @@ from srquery.metrics import (
     precision,
     recall,
 )
+
+
+# ---------------------------------------------------------------------------
+# Metrics ranges
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"precision": 1.5}, "scores must be in [0, 1]"),
+    ({"recall": -0.1}, "scores must be in [0, 1]"),
+    ({"f1": float("nan")}, "scores must be in [0, 1]"),
+    ({"f3": float("inf")}, "scores must be in [0, 1]"),
+    ({"hit_count": -1}, "hit_count cannot exceed"),
+    ({"retrieved_count": -1, "hit_count": 0}, "hit_count cannot exceed"),
+    ({"relevant_count": -1, "hit_count": 0}, "hit_count cannot exceed"),
+], ids=["precision-above-1", "recall-below-0", "f1-nan", "f3-inf", "hits-negative",
+        "retrieved-negative", "relevant-negative"])
+def test_metrics_refuse_a_score_outside_0_1_and_a_negative_count(kwargs, message):
+    scores = {"precision": 0.5, "recall": 0.5, "f1": 0.5, "f3": 0.5, "retrieved_count": 2,
+              "relevant_count": 2, "hit_count": 1}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        Metrics(**{**scores, **kwargs})
+
+
+def test_metrics_take_the_bounds_of_each_range():
+    assert Metrics(0.0, 1.0, 0.0, 1.0, 0, 0, 0) == Metrics(0.0, 1.0, 0.0, 1.0)
+    assert Metrics(1.0, 0.0, 1.0, 0.0, 3, 2, 2).hit_count == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1086,6 +1086,43 @@ def test_analyze_writes_a_zero_mean_difference_as_p_one(tmp_path):
             ["method", "original", "q1"], ["original", "", "1.000000"], ["q1", "1.000000", ""]]
 
 
+def _scored_chain(cfg: AppConfig, prompt_id: str, topic_id: str, query: str,
+                  retrieved: int, score: float) -> None:
+    """Log one generate, execute and evaluate record of ``query``."""
+    gen = RunRecord(run_id=f"gen:{prompt_id}:none:-:{topic_id}:r0", stage="generate",
+                    topic_id=topic_id, prompt_id=prompt_id, query=query,
+                    query_digest=query_digest(query))
+    ex = execution_of(gen, query=query, query_digest=gen.query_digest, retrieved_count=retrieved)
+    metrics = {"precision": score, "recall": score, "f1": score, "f3": score,
+               "retrieved_count": retrieved, "relevant_count": 4, "hit_count": 0}
+    append_records(cfg.runlog, [gen, ex, evaluation_of(ex, metrics=metrics)])
+
+
+def test_analyze_rounds_its_summaries_to_four_places_and_counts_a_one_document_original(
+        tmp_path):
+    # Every q1 topic beats its original, so all three ratios share the
+    # successful class: 2/1, 1/3 and 2/3, whose median is 2/3.  CD900001's
+    # original retrieved exactly one document, and its ratio counts.  The
+    # q1 queries hold 3 + 2 + 2 MeSH terms, one of them not in the vocabulary.
+    cfg = make_config(tmp_path)
+    originals = {"CD900001": 1, "CD900002": 3, "CD900003": 3}
+    queries = {
+        "CD900001": ('("Thyroid Neoplasms"[Mesh] AND "Carcinoma"[Mesh] '
+                     'AND "No Such Heading"[Mesh])', 2),
+        "CD900002": ('("Liver"[Mesh] AND "Liver Cirrhosis"[Mesh])', 1),
+        "CD900003": ('("Influenza, Human"[Mesh] AND "Vaccination"[Mesh])', 2),
+    }
+    for topic_id, retrieved in originals.items():
+        _scored_chain(cfg, "original", topic_id, "(a[tiab])", retrieved, 0.25)
+        _scored_chain(cfg, "q1", topic_id, *queries[topic_id], 0.5)
+    assert check_integrity(read_records(cfg.runlog)) == []
+    q1 = cmd_analyze(cfg)["methods"]["q1"]
+    assert set(q1["topic_classes"].values()) == {"successful"}
+    assert q1["retrieved_ratio_median"] == {"successful": 0.6667}
+    assert q1["mesh_terms_per_query"] == 2.3333  # 7 / 3
+    assert q1["invalid_mesh_fraction"] == 0.1429  # 1 / 7
+
+
 def test_analyze_parses_each_distinct_query_text_once(tmp_path, monkeypatch):
     # The oracle queries reuse the trees of the integrity sweep.
     cfg = run_full_pipeline(tmp_path)
@@ -1211,6 +1248,38 @@ def test_analyze_and_report_name_the_run_of_metrics_that_metrics_refuses(tmp_pat
             stage(cfg)
         assert str(exc.value).startswith(f"run {run_id}: unreadable metrics: "), exc.value
         assert reason in str(exc.value)
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda o: o["metrics"].update(precision=1.5), "scores must be in [0, 1]"),
+    (lambda o: o["metrics"].update(recall=-0.25), "scores must be in [0, 1]"),
+    (lambda o: o["metrics"].update(hit_count=-1), "hit_count cannot exceed"),
+    (lambda o: o["metrics"].update(retrieved_count=-1, hit_count=0), "hit_count cannot exceed"),
+], ids=["precision-above-one", "recall-below-zero", "hit-count-negative",
+        "retrieved-count-negative"])
+def test_analyze_and_report_name_the_run_of_a_metric_out_of_range(tmp_path, edit, reason):
+    # A precision of 1.5 and a hit_count of -1 moved q4-hqe's report.csv
+    # precision from 0.777778 to 0.944444, and nothing noticed.
+    cfg, _, run_id = _edit_q4_evaluation(tmp_path, edit)
+    for stage in (cmd_report, cmd_analyze):
+        with pytest.raises(runlog.RunLogError) as exc:
+            stage(cfg)
+        assert str(exc.value).startswith(f"run {run_id}: unreadable metrics: {reason}"), exc.value
+
+
+@pytest.mark.parametrize("metrics, constant", [
+    ({"precision": math.nan, "f1": math.inf}, "Infinity"),  # f1 comes first in the line
+    ({"recall": -math.inf}, "-Infinity"),
+], ids=["nan-and-infinity", "minus-infinity"])
+def test_analyze_and_report_name_the_line_of_a_metric_that_is_not_a_json_number(
+        tmp_path, metrics, constant):
+    # report.csv used to write nan and inf, and analyze died in the t-test's
+    # continued fraction, naming no file or line.
+    cfg, line_no, _ = _edit_q4_evaluation(tmp_path, lambda o: o["metrics"].update(metrics))
+    for stage in (cmd_report, cmd_analyze):
+        with pytest.raises(runlog.RunLogError,
+                           match=f":{line_no}: unreadable record: invalid JSON: {constant} is"):
+            stage(cfg)
 
 
 def test_every_record_and_configuration_read_from_json_declares_checkable_types(tmp_path):
@@ -1547,9 +1616,9 @@ def test_cli_names_a_config_file_that_is_not_an_object(tmp_path, capsys, text, r
     (lambda c: c.update(backend=[]), "backend: array where BackendConfig"),
     (lambda c: c.update(entrez=5), "entrez: number 5 where Optional[ez.EntrezConfig]"),
     (lambda c: c.update(entrez={"timeout": -1}), "timeout must be > 0"),
-    (lambda c: c["backend"].update(timeout=-1), "need timeout > 0"),
-    (lambda c: c["backend"].update(http_attempts=0), "http_attempts >= 1"),
-    (lambda c: c["backend"].update(backoff_base=-1), "backoff_base >= 0"),
+    (lambda c: c["backend"].update(timeout=-1), "timeout must be > 0 and <= 9223372036.0"),
+    (lambda c: c["backend"].update(http_attempts=0), "http_attempts must be >= 1"),
+    (lambda c: c["backend"].update(backoff_base=-1), "backoff_base must be >= 0"),
 ], ids=["runs-fraction", "runs-string", "corpus-number", "seed-files-number",
         "backend-timeout-string", "backend-array", "entrez-number", "entrez-timeout-negative",
         "chat-timeout-negative", "http-attempts-zero", "backoff-negative"])
@@ -1564,6 +1633,119 @@ def test_cli_names_the_file_and_field_of_a_bad_config_value(tmp_path, capsys, ed
         assert err.startswith(f"error: bad configuration file {path}: "), err
         assert reason in err and err.count("\n") == 1, err
     assert not (tmp_path / "runlog.jsonl").exists()
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda c: c["backend"].update(rate_limit=0), "rate_limit must be > 0 and <= "),
+    (lambda c: c["backend"].update(rate_limit=-1), "rate_limit must be > 0 and <= "),
+    (lambda c: c["backend"].update(timeout=1e300), "timeout must be > 0 and <= 9223372036.0"),
+    (lambda c: c["backend"].update(timeout=1e10), "timeout must be > 0 and <= 9223372036.0"),
+    (lambda c: c["backend"].update(backoff_base=1e300),
+     "backoff_base must be >= 0 and <= 9223372036.0"),
+    (lambda c: c.update(entrez={"timeout": 1e10}), "timeout must be > 0 and <= 9223372036.0"),
+    (lambda c: c.update(entrez={"rate_limit": 5}), "rate_limit must be > 0 and <= 3.0"),
+    (lambda c: c["backend"].update(timeout=math.inf), "invalid JSON: Infinity is not JSON"),
+    (lambda c: c["backend"].update(temperature=-math.inf), "invalid JSON: -Infinity is not JSON"),
+    (lambda c: c.update(entrez={"timeout": math.inf, "rate_limit": math.nan}),
+     "invalid JSON: Infinity is not JSON"),
+    (lambda c: c["backend"].update(rate_limit=math.nan), "invalid JSON: NaN is not JSON"),
+], ids=["chat-rate-zero", "chat-rate-negative", "chat-timeout-1e300", "chat-timeout-1e10",
+        "backoff-1e300", "entrez-timeout-1e10", "entrez-rate-above-cap", "chat-timeout-infinity",
+        "temperature-minus-infinity", "entrez-infinity-and-nan", "chat-rate-nan"])
+def test_cli_refuses_a_transport_setting_out_of_range_or_not_finite(tmp_path, capsys,
+                                                                     monkeypatch, edit, reason):
+    # Each of these passed ingest before, and then formulate or execute died
+    # with an OverflowError, paced nothing, or named no file or field.
+    monkeypatch.delenv("NCBI_API_KEY", raising=False)
+    path = write_cli_config(tmp_path)
+    config = json.loads(path.read_text())
+    edit(config)
+    path.write_text(json.dumps(config))
+    for argv in (["ingest"], ["formulate", "--prompt", "q1"], ["execute"]):
+        assert cli.main([*argv, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad configuration file {path}: {reason}"), err
+        assert err.count("\n") == 1, err
+    assert not (tmp_path / "runlog.jsonl").exists()
+
+
+# Each reader of outside JSON meets a NaN and answers with the error it has
+# for any text that is not a JSON object: NaN is no JSON number.
+
+def _feed_nan_to_the_config(tmp_path, request):
+    path = write_cli_config(tmp_path)
+    path.write_text(path.read_text().replace('"kind":', '"temperature": NaN, "kind":'))
+    assert cli.main(["ingest", "--config", str(path)]) == 2
+    assert request.getfixturevalue("capsys").readouterr().err == (
+        f"error: bad configuration file {path}: invalid JSON: NaN is not JSON\n")
+
+
+def _feed_nan_to_the_run_log(tmp_path, request):
+    cfg, line_no, _ = _edit_q4_evaluation(tmp_path, lambda o: o["metrics"].update(f1=math.nan))
+    with pytest.raises(runlog.RunLogError) as exc:
+        read_records(cfg.runlog)
+    assert str(exc.value) == (
+        f"{cfg.runlog}:{line_no}: unreadable record: invalid JSON: NaN is not JSON")
+
+
+def _feed_nan_to_a_chat_body(tmp_path, request):
+    request.getfixturevalue("monkeypatch").setenv("LLM_API_KEY", "test-key")
+    cfg = make_config(tmp_path)
+    cfg.backend = BackendConfig(kind="http", base_url=request.getfixturevalue("chat_stub"))
+    body = b'{"choices": [{"message": {"content": "(a[tiab])"}}], "usage": {"cost": NaN}}'
+    answer = (200, _ok_body("(thyroid[tiab] AND screening[tiab])"))
+    _ChatStub.responses = [(200, body), answer, answer]
+    records = cmd_formulate(cfg, "q1")
+    assert [r.status for r in records] == ["error", "ok", "ok"]
+    assert records[0].error == f"HTTP 200: body {body[:80]!r}: invalid JSON: NaN is not JSON"
+
+
+def _feed_nan_to_an_esearch_body(tmp_path, request):
+    cfg = entrez_config(tmp_path, request.getfixturevalue("esearch_stub"))
+    body = b'{"esearchresult": {"count": "1", "idlist": ["1001"]}, "took": NaN}'
+    _EsearchStub.raw_body = body
+    logged_generation(cfg)
+    [record] = cmd_execute(cfg)
+    assert record.error == f"HTTP 200: body {body[:80]!r}: invalid JSON: NaN is not JSON"
+
+
+def _feed_nan_to_a_cache_entry(tmp_path, request):
+    cfg = make_config(tmp_path)
+    cmd_ingest(cfg)
+    digest = read_records(cfg.runlog)[0].query_digest
+    entry = Path(cfg.cache_dir) / f"{digest}.json"
+    entry.parent.mkdir(parents=True, exist_ok=True)
+    entry.write_text('{"query_digest": "%s", "pmids": ["1001"], "score": NaN}' % digest)
+    assert entrez.load_cached_result(cfg.cache_dir, digest) is None  # discarded
+    assert not entry.exists()
+
+
+def _feed_nan_to_the_mock_fixtures(tmp_path, request):
+    path = tmp_path / "fixtures.json"
+    path.write_text('{"%s": "(a[tiab])", "note": NaN}' % ("a" * 64))
+    with pytest.raises(ValueError) as exc:
+        MockBackend.from_file(path)
+    assert str(exc.value) == f"bad mock fixtures file {path}: invalid JSON: NaN is not JSON"
+
+
+def _feed_nan_to_a_jsonl_line(tmp_path, request):
+    path = tmp_path / "topics.jsonl"
+    path.write_text('{"topic_id": "T1", "title": "A review"}\n'
+                    '{"topic_id": "T2", "title": "B review", "weight": NaN}\n')
+    with pytest.raises(MalformedLineError) as exc:
+        colls.load_topics(path)
+    assert str(exc.value) == f"{path}:2: invalid JSON: NaN is not JSON"
+
+
+@pytest.mark.parametrize("feed", [
+    _feed_nan_to_the_config, _feed_nan_to_the_run_log, _feed_nan_to_a_chat_body,
+    _feed_nan_to_an_esearch_body, _feed_nan_to_a_cache_entry, _feed_nan_to_the_mock_fixtures,
+    _feed_nan_to_a_jsonl_line,
+], ids=["config", "run-log", "chat-body", "esearch-body", "cache-entry", "mock-fixtures",
+        "jsonl"])
+def test_every_reader_of_outside_json_refuses_a_nan_through_its_own_error(tmp_path, request,
+                                                                          capsys, feed):
+    feed(tmp_path, request)  # capsys: the config reader's error goes to stderr
 
 
 def test_cli_overrides_replace_the_config_values(tmp_path):
