@@ -19,7 +19,7 @@ import sys
 
 from . import pipeline
 from . import __version__
-from .pipeline import AppConfig, UsageError
+from .pipeline import AppConfig
 
 
 def _load_config(args: argparse.Namespace) -> AppConfig:
@@ -110,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "report":
             path = pipeline.cmd_report(cfg)
             print(f"report written to {path}")
-    except (UsageError, FileNotFoundError, ValueError) as e:
+    except (FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

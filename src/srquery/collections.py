@@ -38,7 +38,6 @@ __all__ = [
     "Corpus",
     "MeshDescriptor",
     "MeshVocab",
-    "CollectionError",
     "MalformedLineError",
     "DuplicateTopicError",
     "DuplicateJudgmentError",
@@ -57,17 +56,13 @@ __all__ = [
     "load_seed_queries",
 ]
 
-class CollectionError(ValueError):
-    pass
-
-
-class MalformedLineError(CollectionError):
+class MalformedLineError(ValueError):
     def __init__(self, path, line_no: int, reason: str):
         super().__init__(f"{path}:{line_no}: {reason}")
         self.line_no = line_no
 
 
-class DuplicateTopicError(CollectionError):
+class DuplicateTopicError(ValueError):
     def __init__(self, topic_id: str):
         super().__init__(f"duplicate topic_id {topic_id!r}")
         self.topic_id = topic_id
@@ -81,7 +76,7 @@ class NegativeGradeError(MalformedLineError):
     pass
 
 
-class MissingFieldError(CollectionError):
+class MissingFieldError(ValueError):
     pass
 
 

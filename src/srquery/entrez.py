@@ -23,12 +23,12 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .collections import is_str_list, json_object
+from .errors import ServiceError
 from .query_ast import Query, serialize, sha256_hex
 from .ratelimit import HttpError, RateLimiter, check_settings, request_json
 
 __all__ = [
     "EntrezConfig",
-    "EntrezError",
     "HttpError",
     "ApiError",
     "RateLimiter",
@@ -44,12 +44,8 @@ DEFAULT_BASE_URL = "https://eutils.ncbi.nlm.nih.gov/entrez/eutils"
 MAX_RETMAX = 10_000
 
 
-class EntrezError(Exception):
-    pass
-
-
-class ApiError(EntrezError):
-    pass
+class ApiError(ServiceError):
+    """An esearch answer that reports an error or has the wrong shape."""
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from .collections import ReviewTopic, SeedStudy, json_object
+from .errors import InputError, ModelError
 from .prompts import PromptBindings, render
 from .query_ast import Query, QueryParseError, Term, parse, sha256_hex, validate
 from .ratelimit import HttpError, RateLimiter, check_settings, request_json
@@ -46,16 +47,11 @@ __all__ = [
     "parse_term_list",
     "parse_categorized_list",
     "run_guided_session",
-    "GatewayError",
     "HttpError",
     "MissingFixtureResponseError",
     "NoParsableQueryError",
     "ExhaustedRetriesError",
     "ResponseFormatError",
-    "DuplicateTermError",
-    "NoTermsFoundError",
-    "UnknownCategoryError",
-    "NoEntriesError",
     "EmptySeedStudyError",
 ]
 
@@ -64,45 +60,25 @@ __all__ = [
 MAX_SEED_ABSTRACT_TOKENS = 3000
 
 
-class GatewayError(Exception):
+class MissingFixtureResponseError(InputError):
     pass
 
 
-class MissingFixtureResponseError(GatewayError):
+class NoParsableQueryError(ModelError):
     pass
 
 
-class NoParsableQueryError(GatewayError):
-    pass
-
-
-class ExhaustedRetriesError(GatewayError):
+class ExhaustedRetriesError(ModelError):
     def __init__(self, attempts: int, last_error: str = ""):
         super().__init__(f"no valid query after {attempts} attempts ({last_error})")
         self.attempts = attempts
 
 
-class ResponseFormatError(GatewayError):
-    pass
+class ResponseFormatError(ModelError):
+    """A term list or categorized list that breaks its format."""
 
 
-class DuplicateTermError(ResponseFormatError):
-    pass
-
-
-class NoTermsFoundError(ResponseFormatError):
-    pass
-
-
-class UnknownCategoryError(ResponseFormatError):
-    pass
-
-
-class NoEntriesError(ResponseFormatError):
-    pass
-
-
-class EmptySeedStudyError(ValueError):
+class EmptySeedStudyError(InputError, ValueError):
     pass
 
 
@@ -170,7 +146,8 @@ class BackendConfig:
             raise ValueError("max_retries must be >= 0")
         if self.kind == "http" and not self.base_url:
             raise ValueError("http backend requires base_url")
-        check_settings(self.timeout, self.backoff_base, self.http_attempts, self.rate_limit)
+        check_settings(self.timeout, self.backoff_base, self.http_attempts, self.rate_limit,
+                       self.temperature)
 
     def describe(self) -> str:
         if self.kind == "mock":
@@ -230,7 +207,7 @@ class HttpBackend:
     def complete(self, conv: Conversation) -> str:
         api_key = os.environ.get("LLM_API_KEY")
         if not api_key:
-            raise GatewayError("http backend requires a credential in LLM_API_KEY")
+            raise InputError("http backend requires a credential in LLM_API_KEY")
         payload = {
             "model": self.cfg.model_name,
             "messages": conv.as_payload(),
@@ -342,11 +319,11 @@ def parse_term_list(response: str) -> list[str]:
             raise ResponseFormatError(f"empty term at line {line!r}")
         key = text.lower()
         if key in seen:
-            raise DuplicateTermError(f"duplicate term {text!r}")
+            raise ResponseFormatError(f"duplicate term {text!r}")
         seen.add(key)
         terms.append(text)
     if not terms:
-        raise NoTermsFoundError("no numbered term lines found")
+        raise ResponseFormatError("no numbered term lines found")
     return terms
 
 
@@ -368,11 +345,11 @@ def parse_categorized_list(response: str) -> CategorizedTerms:
     for line, n, rest in _numbered_lines(response):
         cm = _CATEGORY_RE.match(rest)
         if not cm:
-            raise UnknownCategoryError(f"no (A)/(B)/(C)/(N/A) category at line {line!r}")
+            raise ResponseFormatError(f"no (A)/(B)/(C)/(N/A) category at line {line!r}")
         category = cm.group(1).upper().replace("N/A", "NA")
         entries.append(CategorizedTerm(index=n, category=category, text=cm.group(2).rstrip(".").strip()))
     if not entries:
-        raise NoEntriesError("no categorized lines found")
+        raise ResponseFormatError("no categorized lines found")
     return CategorizedTerms(tuple(entries))
 
 
@@ -405,7 +382,7 @@ def _run_session(steps, cfg: BackendConfig, backend=None) -> GenerationOutcome:
             raw.append(response)
             try:
                 result = check(response)
-            except (ResponseFormatError, NoParsableQueryError) as e:
+            except ModelError as e:  # the answer was unusable
                 step = f" step {step_no}" if len(steps) > 1 else ""
                 failures.append(f"attempt {attempt}{step}: {e}")
                 break

@@ -39,20 +39,11 @@ from .analysis import (
     unjudged_fraction,
     variability_summary,
 )
-from .gateway import (
-    BackendConfig,
-    GatewayError,
-    EmptySeedStudyError,
-    HttpError,
-    generate_with_retry,
-    make_backend,
-    run_guided_session,
-)
+from .errors import InputError, ModelError, ServiceError
+from .gateway import BackendConfig, generate_with_retry, make_backend, run_guided_session
 from .metrics import Metrics, NoRelevantDocsError, evaluate_topic, macro_average
 from .prompts import (
-    EmptyPoolError,
     ExampleReview,
-    MissingBindingError,
     PromptBindings,
     dice_score,
     hqe_example,
@@ -60,14 +51,12 @@ from .prompts import (
     select_related_example,
 )
 from .query_ast import Query, QueryParseError, parse, serialize
-from .retrieval import InvalidQueryError, UnknownDescriptorError, build_index, execute_local
+from .retrieval import build_index, execute_local
 from .runlog import RunLogError, RunRecord, append_records, check_integrity, read_records
 
 __all__ = [
     "AppConfig",
     "UsageError",
-    "MissingSeedQueryError",
-    "NoSeedStudyError",
     "cmd_ingest",
     "cmd_formulate",
     "cmd_refine",
@@ -86,15 +75,7 @@ EXAMPLE_PROMPTS = ("q4", "q5", "q7")
 SEED_SOURCES = ("original", "conceptual", "objective", "q4-runlog")
 
 
-class UsageError(ValueError):
-    pass
-
-
-class MissingSeedQueryError(UsageError):
-    pass
-
-
-class NoSeedStudyError(UsageError):
+class UsageError(InputError, ValueError):
     pass
 
 
@@ -182,13 +163,10 @@ def _method_label(prompt_id: str, example_mode: str, seed_source: str) -> str:
     return prompt_id
 
 
-# The failures a cell records as its outcome.  Anything else raised by a
+# The failures a cell records as its outcome, one base per kind (see
+# ``errors``); an OSError is an input error.  Anything else raised by a
 # cell is a programming error and propagates.
-RECORDED_ERRORS = (
-    GatewayError, HttpError, ez.EntrezError, QueryParseError, InvalidQueryError,
-    UnknownDescriptorError, UsageError, EmptyPoolError, MissingBindingError,
-    EmptySeedStudyError, OSError,
-)
+RECORDED_ERRORS = (ModelError, ServiceError, InputError, OSError)
 
 
 def _run_cells(cfg: AppConfig, groups: list[list[tuple[dict, Callable[[], dict]]]],
@@ -343,7 +321,7 @@ def _seed_queries(cfg: AppConfig, seed_source: str, topics: list[colls.ReviewTop
     else:
         path = cfg.seed_query_files.get(seed_source)
         if not path:
-            raise MissingSeedQueryError(
+            raise UsageError(
                 f"seed source {seed_source!r} needs a query file under seed_query_files"
             )
         queries = colls.load_seed_queries(path)
@@ -381,7 +359,7 @@ def _single_prompt(cfg: AppConfig, prompt_id: str, example_mode: str, seed_sourc
     def jobs(topic: colls.ReviewTopic):
         def make():
             if seed_source and topic.topic_id not in seeds:
-                raise MissingSeedQueryError(
+                raise UsageError(
                     f"no {seed_source} seed query for topic {topic.topic_id}")
             example = example_for(topic)
             prompt = render(prompt_id, PromptBindings(
@@ -430,7 +408,7 @@ def cmd_guided(cfg: AppConfig, backend=None) -> list[RunRecord]:
     def jobs(topic: colls.ReviewTopic):
         if not topic.seed_studies:
             def no_seed():
-                raise NoSeedStudyError(f"topic {topic.topic_id} has no seed study")
+                raise UsageError(f"topic {topic.topic_id} has no seed study")
             return [(f"gen:guided:none:-:{topic.topic_id}:r0", 0, no_seed)]
         # One flat run_index per (seed, repeat) so downstream analysis sees
         # each session as a distinct run.

@@ -16,6 +16,7 @@ from importlib import resources
 from typing import Callable, Optional, Sequence
 
 from .collections import ReviewTopic
+from .errors import InputError
 from .query_ast import parse, sha256_hex
 from .retrieval import tokenize
 
@@ -44,11 +45,11 @@ TEMPLATE_IDS = (
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
 
-class MissingBindingError(LookupError):
+class MissingBindingError(InputError, LookupError):
     pass
 
 
-class EmptyPoolError(ValueError):
+class EmptyPoolError(InputError, ValueError):
     pass
 
 

@@ -27,6 +27,8 @@ from enum import Enum
 from itertools import islice, product
 from typing import Iterator, Optional, Union
 
+from .errors import InputError
+
 try:  # CPython's own SHA-256; hashlib would map OpenSSL's libcrypto for it.
     from _sha2 import sha256 as _sha256  # 3.12 and later
 except ImportError:
@@ -164,8 +166,12 @@ class Query:
 # Errors
 # ---------------------------------------------------------------------------
 
-class QueryParseError(ValueError):
-    """Base for all query syntax errors; ``pos`` is a character offset."""
+class QueryParseError(InputError, ValueError):
+    """Base for all query syntax errors; ``pos`` is a character offset.
+
+    An input error wherever a stage records it: generation keeps only a
+    query that ``extract_query`` parsed and validated, so a query that fails
+    at ingest or execute is the topic file's original or an edited log's."""
 
     def __init__(self, message: str, pos: int = 0):
         super().__init__(f"{message} (at position {pos})")

@@ -7,7 +7,8 @@ each answer before its next request is sent; 429 and 5xx gateway statuses are
 retried with exponential backoff, or after the wait a delay-seconds
 ``Retry-After`` asks for (RFC 9110 §10.2.3), and every failed request surfaces
 as one ``HttpError`` type.  ``check_settings`` is the one range rule of what
-they spend (timeout, backoff, attempts, rate), and NaN is in no range.
+they spend (timeout, backoff, attempts, rate) and of the waits built from
+them, and NaN is in no range.
 
 The HTTP stack (``urllib.request``, which brings ``http.client``, ``ssl``
 and ``email``) is imported inside ``request_json``, so a run that never
@@ -20,12 +21,14 @@ request.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import threading
 import time
 from typing import Callable, Optional
 
 from .collections import json_object
+from .errors import ServiceError
 
 __all__ = ["RateLimiter", "HttpError", "check_settings", "request_json"]
 
@@ -34,18 +37,28 @@ MAX_WAIT = threading.TIMEOUT_MAX  # seconds: the longest that time.sleep and a s
 
 
 def check_settings(timeout: float = 1.0, backoff_base: float = 0.0, http_attempts: int = 1,
-                   rate_limit: Optional[float] = None, *, cap: float = sys.float_info.max) -> None:
-    """The one range rule: ``ValueError`` names the first setting passed out of range."""
+                   rate_limit: Optional[float] = None, temperature: float = 0.0, *,
+                   cap: float = sys.float_info.max) -> None:
+    """The one range rule: ``ValueError`` names the first setting passed out
+    of range.  No wait built from them passes ``MAX_WAIT``: neither the
+    backoff before the last try, ``backoff_base * 2**(http_attempts - 2)``,
+    nor a limiter's interval, ``1 / rate_limit``.  ``temperature`` takes the
+    chat-completions range."""
     for name, ok, need in (
             ("timeout", 0 < timeout <= MAX_WAIT, f"> 0 and <= {MAX_WAIT}"),
             ("backoff_base", 0 <= backoff_base <= MAX_WAIT, f">= 0 and <= {MAX_WAIT}"),
             ("http_attempts", 1 <= http_attempts, ">= 1"),
-            ("rate_limit", rate_limit is None or 0 < rate_limit <= cap, f"> 0 and <= {cap}")):
+            # ldexp scales MAX_WAIT down, so a huge http_attempts builds no huge power.
+            ("backoff_base", 1 <= http_attempts and backoff_base <= math.ldexp(
+                MAX_WAIT, 2 - http_attempts), f"<= {MAX_WAIT} / 2**(http_attempts - 2)"),
+            ("rate_limit", rate_limit is None or 0 < rate_limit <= cap, f"> 0 and <= {cap}"),
+            ("rate_limit", rate_limit is None or 1 / MAX_WAIT <= rate_limit, f">= 1/{MAX_WAIT}"),
+            ("temperature", 0 <= temperature <= 2, ">= 0 and <= 2")):
         if not ok:
             raise ValueError(f"{name} must be {need}")
 
 
-class HttpError(Exception):
+class HttpError(ServiceError):
     """A failed request: ``status`` is the last HTTP status, or 0 when the
     connection failed or timed out."""
 

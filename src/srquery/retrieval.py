@@ -65,6 +65,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .collections import Corpus, CorpusDoc, MeshVocab, name_key
+from .errors import InputError
 from .query_ast import (
     FieldKind,
     Node,
@@ -87,12 +88,15 @@ __all__ = [
 ]
 
 
-class InvalidQueryError(ValueError):
-    pass
+class InvalidQueryError(InputError, ValueError):
+    """A stored query that fails validation; an input error for the reason
+    ``QueryParseError`` gives."""
 
 
-class UnknownDescriptorError(LookupError):
-    pass
+class UnknownDescriptorError(InputError, LookupError):
+    """A descriptor name the MeSH vocabulary lacks, so the input's query or
+    vocabulary is at fault.  Only ``explode_mesh`` raises it, and no stage
+    reaches it: its one caller here looks the name up first."""
 
 
 # Every ASCII character: [A-Z] lowercased, [a-z0-9] kept, the rest a space.

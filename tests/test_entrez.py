@@ -273,6 +273,37 @@ def test_retry_waits_for_retry_after_else_backoff(esearch_stub, status, retry_af
     assert slept == sleeps
 
 
+@pytest.mark.parametrize("status", [429, 500, 502, 503, 504])
+def test_each_retryable_status_is_retried_after_the_backoff(esearch_stub, status):
+    # A proxy in front of the service answers 502 or 504 when it is down or slow.
+    _EsearchStub.count = 1
+    _EsearchStub.fail_once = status
+    slept = []
+    body = request_json(f"{esearch_stub}?term=x", timeout=5.0, backoff=0.25, sleep=slept.append)
+    assert body["esearchresult"]["idlist"] == ["0"]
+    assert slept == [0.25] and len(_EsearchStub.requests_seen) == 2
+
+
+@pytest.mark.parametrize("status", [400, 501, 505])
+def test_a_status_beside_the_retryable_ones_fails_at_once(esearch_stub, status):
+    _EsearchStub.fail_once = status
+    slept = []
+    with pytest.raises(HttpError) as exc:
+        request_json(f"{esearch_stub}?term=x", timeout=5.0, backoff=0.25, sleep=slept.append)
+    assert exc.value.status == status
+    assert slept == [] and len(_EsearchStub.requests_seen) == 1
+
+
+def test_a_retry_after_equal_to_the_timeout_is_waited_for(esearch_stub):
+    _EsearchStub.count = 1
+    _EsearchStub.fail_once = 503
+    _EsearchStub.retry_after = "5"
+    slept = []
+    body = request_json(f"{esearch_stub}?term=x", timeout=5.0, backoff=0.0, sleep=slept.append)
+    assert body["esearchresult"]["idlist"] == ["0"]
+    assert slept == [5] and len(_EsearchStub.requests_seen) == 2
+
+
 def test_retry_after_beyond_timeout_fails_at_once(esearch_stub):
     _EsearchStub.fail_once = 429
     _EsearchStub.retry_after = "60"
@@ -349,6 +380,18 @@ def test_rate_limiter_refuses_a_rate_that_would_not_pace(rate):
     # A NaN or infinite rate gave an interval of NaN or 0: slots with no gap.
     with pytest.raises(ValueError, match="^rate_limit must be > 0"):
         RateLimiter(rate)
+
+
+def test_a_rate_whose_interval_passes_the_longest_wait_is_refused(monkeypatch):
+    # RateLimiter(1e-300) was accepted, and its second acquire raised
+    # OverflowError from time.sleep.
+    monkeypatch.delenv("NCBI_API_KEY", raising=False)
+    for make in (RateLimiter, lambda rate: EntrezConfig(rate_limit=rate)):
+        with pytest.raises(ValueError, match=r"^rate_limit must be >= 1/9223372036\.0$"):
+            make(1e-300)
+    slowest = RateLimiter(1 / threading.TIMEOUT_MAX)
+    assert slowest.interval <= threading.TIMEOUT_MAX
+    assert EntrezConfig(rate_limit=1 / threading.TIMEOUT_MAX).effective_rate() > 0
 
 
 @pytest.mark.parametrize("translation, warnings", [

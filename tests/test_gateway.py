@@ -11,18 +11,14 @@ from srquery.collections import ReviewTopic, SeedStudy
 from srquery.gateway import (
     BackendConfig,
     Conversation,
-    DuplicateTermError,
     EmptySeedStudyError,
     ExhaustedRetriesError,
     HttpBackend,
     HttpError,
     MissingFixtureResponseError,
     MockBackend,
-    NoEntriesError,
     NoParsableQueryError,
-    NoTermsFoundError,
     ResponseFormatError,
-    UnknownCategoryError,
     complete,
     conversation_digest,
     extract_query,
@@ -151,6 +147,12 @@ def test_a_fixture_answer_that_is_not_a_string_is_refused_by_name(tmp_path, answ
         MockBackend.from_file(path)
 
 
+def test_chat_settings_default_to_the_documented_values():
+    cfg = BackendConfig()
+    assert (cfg.timeout, cfg.max_retries, cfg.http_attempts, cfg.backoff_base,
+            cfg.temperature, cfg.rate_limit) == (60.0, 3, 3, 0.5, 0.0, None)
+
+
 @pytest.mark.parametrize("field, value", [
     ("timeout", 0), ("timeout", -1.0), ("http_attempts", 0), ("http_attempts", -1),
     ("backoff_base", -0.5),
@@ -177,9 +179,46 @@ def test_transport_settings_refuse_nan_infinity_and_waits_past_timeout_max(field
 
 def test_the_longest_wait_and_any_finite_positive_rate_are_accepted():
     longest = threading.TIMEOUT_MAX
-    cfg = BackendConfig(timeout=longest, backoff_base=longest, rate_limit=1e300)
+    # Two attempts, so the one backoff is the longest wait.
+    cfg = BackendConfig(timeout=longest, backoff_base=longest, http_attempts=2, rate_limit=1e300)
     assert (cfg.timeout, cfg.backoff_base, cfg.rate_limit) == (longest, longest, 1e300)
     assert BackendConfig(rate_limit=1e-3).rate_limit == 1e-3
+
+
+_LONGEST_BACKOFF = "backoff_base must be <= 9223372036.0 / 2**(http_attempts - 2)"
+_TEMPERATURE = "temperature must be >= 0 and <= 2"
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"backoff_base": 5e9, "http_attempts": 3}, _LONGEST_BACKOFF),
+    ({"backoff_base": threading.TIMEOUT_MAX / 2 ** 10, "http_attempts": 13}, _LONGEST_BACKOFF),
+    ({"backoff_base": 1e-300, "http_attempts": 10 ** 6}, _LONGEST_BACKOFF),
+    ({"rate_limit": 1e-300}, "rate_limit must be >= 1/9223372036.0"),
+    ({"temperature": float("inf")}, _TEMPERATURE),
+    ({"temperature": float("nan")}, _TEMPERATURE),
+    ({"temperature": 2.5}, _TEMPERATURE),
+    ({"temperature": -0.5}, _TEMPERATURE),
+], ids=["backoff-5e9", "backoff-one-doubling-too-many", "backoff-huge-attempts", "rate-1e-300",
+        "temperature-infinity", "temperature-nan", "temperature-above-2", "temperature-negative"])
+def test_a_wait_past_the_longest_or_a_temperature_out_of_range_is_refused(settings, message):
+    # Each was accepted: the last retry's backoff or a limiter slot then
+    # raised OverflowError from time.sleep, or every chat body carried
+    # "temperature": Infinity, which is not JSON.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BackendConfig(kind="http", base_url="http://stub", **settings)
+
+
+def test_the_longest_backoff_the_slowest_rate_and_each_end_of_the_temperature_are_accepted():
+    longest = threading.TIMEOUT_MAX
+    for base, attempts in ((longest, 2), (longest / 2, 3), (longest / 2 ** 10, 12),
+                           (0.0, 10 ** 6), (longest, 1)):
+        assert BackendConfig(backoff_base=base, http_attempts=attempts).backoff_base == base
+    assert BackendConfig(rate_limit=1 / longest).rate_limit == 1 / longest
+    assert [BackendConfig(temperature=t).temperature for t in (0.0, 2.0)] == [0.0, 2.0]
+    # The benchmark's network workload runs with these.
+    cfg = BackendConfig(kind="http", base_url="http://stub", http_attempts=3, backoff_base=0.1,
+                        timeout=10.0)
+    assert (cfg.http_attempts, cfg.backoff_base) == (3, 0.1)
 
 
 @pytest.mark.parametrize("rate_limit, interval", [(None, None), (2.0, 0.5), (1e-3, 1e3)])
@@ -295,6 +334,15 @@ def test_extract_handles_trailing_punctuation_via_span():
     assert extract_query(GUIDED_ANSWERS["step3"]) is not None
 
 
+def test_extract_takes_a_later_span_one_character_longer():
+    response = "Either (a[tiab] AND b[tiab]) or (c[tiab] AND dd[tiab]) will do."
+    assert serialize(extract_query(response)) == "(c[Title/Abstract] AND dd[Title/Abstract])"
+
+
+def test_extract_takes_a_quoted_phrase_alone():
+    assert serialize(extract_query('"heart attack"')) == '"heart attack"[All Fields]'
+
+
 def test_extract_takes_the_first_of_two_equally_long_spans():
     response = "Either (a[tiab] AND b[tiab]) or (c[tiab] AND d[tiab]) will do."
     assert serialize(extract_query(response)) == "(a[Title/Abstract] AND b[Title/Abstract])"
@@ -355,12 +403,12 @@ def test_parse_term_list_guided_answer():
 
 
 def test_parse_term_list_duplicate_case_insensitive():
-    with pytest.raises(DuplicateTermError):
+    with pytest.raises(ResponseFormatError, match="duplicate term 'x'"):
         parse_term_list("5. X\n9. x")
 
 
 def test_parse_term_list_prose_only():
-    with pytest.raises(NoTermsFoundError):
+    with pytest.raises(ResponseFormatError, match="no numbered term lines found"):
         parse_term_list("Sure! Here are some thoughts, with no list.")
 
 
@@ -378,12 +426,12 @@ def test_parse_categorized_basic_entries():
 
 
 def test_parse_categorized_unknown_category():
-    with pytest.raises(UnknownCategoryError):
+    with pytest.raises(ResponseFormatError, match=r"no \(A\)/\(B\)/\(C\)/\(N/A\) category"):
         parse_categorized_list("3. (Q) Autopsy")
 
 
 def test_parse_categorized_no_entries():
-    with pytest.raises(NoEntriesError):
+    with pytest.raises(ResponseFormatError, match="no categorized lines found"):
         parse_categorized_list("no lines here")
 
 
@@ -462,6 +510,13 @@ def test_guided_step1_truncates_very_long_abstracts():
     )
     step1_prompt = outcome.conversation_log.messages[0].content
     assert "tok2999" in step1_prompt and "tok3000" not in step1_prompt
+
+
+def test_guided_step1_keeps_an_abstract_of_exactly_the_limit_verbatim():
+    abstract = "\n".join(f"tok{i}  x" for i in range(1500))  # 3,000 tokens
+    outcome = run_guided_session(TOPIC, SeedStudy(pmid="1", title="t", abstract=abstract),
+                                 make_cfg(), backend=MockBackend(script=scripted_answers()))
+    assert abstract in outcome.conversation_log.messages[0].content
 
 
 def test_http_requires_credential(chat_stub, monkeypatch):

@@ -1,11 +1,14 @@
 import csv
 import hashlib
+import importlib
 import importlib.util
+import inspect
 import json
 import logging
 import math
 import os
 import re
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -20,12 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import srquery
 from conftest import DEEP_JSON, stub_server
 from srquery import cli, entrez, pipeline, prompts, runlog
 from srquery import collections as colls
 from srquery.analysis import significance_matrix
 from srquery.collections import MalformedLineError, Qrels, load_qrels
 from srquery.entrez import EntrezConfig, query_digest
+from srquery.errors import InputError, ModelError, ServiceError
 from srquery.gateway import (
     BackendConfig,
     Conversation,
@@ -33,10 +38,9 @@ from srquery.gateway import (
     conversation_digest,
     extract_query,
 )
-from srquery.metrics import Metrics
+from srquery.metrics import Metrics, NoRelevantDocsError
 from srquery.pipeline import (
     AppConfig,
-    MissingSeedQueryError,
     UsageError,
     cmd_analyze,
     cmd_evaluate,
@@ -283,7 +287,7 @@ def test_refine_q7_includes_example_queries(tmp_path):
 
 def test_refine_conceptual_source_needs_file(tmp_path):
     cfg = make_config(tmp_path)
-    with pytest.raises(MissingSeedQueryError):
+    with pytest.raises(UsageError, match="seed source 'conceptual' needs a query file"):
         cmd_refine(cfg, "q6", "conceptual", backend=MockBackend(script=["x"] * 3))
 
 
@@ -777,6 +781,55 @@ def test_execute_records_an_unknown_descriptor(tmp_path, monkeypatch):
     cfg = make_config(tmp_path)
     gen = logged_generation(cfg)
     assert cmd_execute(cfg) == [execution_of(gen, status="error", error="Made Up Descriptor")]
+
+
+def _exception_classes() -> set[type]:
+    """Every exception class defined in a module of the package."""
+    found = set()
+    for info in pkgutil.iter_modules(srquery.__path__):
+        module = importlib.import_module(f"srquery.{info.name}")
+        found.update(cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                     if issubclass(cls, BaseException) and cls.__module__ == module.__name__)
+    return found
+
+
+_KINDS = {"model": (ModelError,), "service": (ServiceError,), "input": (InputError, OSError)}
+
+
+def test_every_recorded_failure_is_of_exactly_one_kind():
+    assert pipeline.RECORDED_ERRORS == (ModelError, ServiceError, InputError, OSError)
+    kinds = {}
+    for cls in _exception_classes():
+        if issubclass(cls, pipeline.RECORDED_ERRORS):
+            of = [kind for kind, bases in _KINDS.items() if issubclass(cls, bases)]
+            assert len(of) == 1, (cls, of)
+            kinds.setdefault(of[0], set()).add(cls.__name__)
+    assert kinds == {
+        "model": {"ModelError", "ResponseFormatError", "NoParsableQueryError",
+                  "ExhaustedRetriesError"},
+        "service": {"ServiceError", "HttpError", "ApiError"},
+        "input": {"InputError", "UsageError", "EmptyPoolError", "MissingBindingError",
+                  "MissingFixtureError", "EmptySeedStudyError", "MissingFixtureResponseError",
+                  "QueryParseError", "UnbalancedParenError", "UnbalancedQuoteError",
+                  "AdjacentTermsError", "EmptyQueryError", "NestingTooDeepError",
+                  "InvalidQueryError", "UnknownDescriptorError"},
+    }
+
+
+def test_skips_and_corrupt_inputs_are_still_not_recorded_failures():
+    for cls in (NoRelevantDocsError, runlog.RunLogError, MalformedLineError):
+        assert not issubclass(cls, pipeline.RECORDED_ERRORS), cls
+
+
+def test_formulate_records_a_missing_credential_as_an_input_error(tmp_path, monkeypatch,
+                                                                  chat_stub):
+    monkeypatch.delenv("LLM_API_KEY", raising=False)
+    cfg = make_config(tmp_path)
+    cfg.backend = BackendConfig(kind="http", base_url=chat_stub)
+    records = cmd_formulate(cfg, "q1")
+    assert [(r.status, r.error) for r in records] == [
+        ("error", "http backend requires a credential in LLM_API_KEY")] * 3
+    assert _ChatStub.seen == []
 
 
 def test_execute_records_a_failed_cache_write(tmp_path, monkeypatch):
@@ -1666,6 +1719,33 @@ def test_cli_refuses_a_transport_setting_out_of_range_or_not_finite(tmp_path, ca
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad configuration file {path}: {reason}"), err
         assert err.count("\n") == 1, err
+    assert not (tmp_path / "runlog.jsonl").exists()
+
+
+_IN_BACKEND, _AT_TOP = '"kind": "mock"', '"execution_backend": "local"'
+
+
+@pytest.mark.parametrize("anchor, setting, reason", [
+    (_IN_BACKEND, '"backoff_base": 5e9, "http_attempts": 3',
+     "backoff_base must be <= 9223372036.0 / 2**(http_attempts - 2)"),
+    (_IN_BACKEND, '"rate_limit": 1e-300', "rate_limit must be >= 1/9223372036.0"),
+    (_AT_TOP, '"entrez": {"rate_limit": 1e-300}', "rate_limit must be >= 1/9223372036.0"),
+    (_IN_BACKEND, '"temperature": 1e400', "temperature must be >= 0 and <= 2"),
+    (_IN_BACKEND, '"temperature": 2.5', "temperature must be >= 0 and <= 2"),
+    (_IN_BACKEND, '"temperature": -1', "temperature must be >= 0 and <= 2"),
+], ids=["backoff-5e9", "chat-rate-1e-300", "entrez-rate-1e-300", "temperature-1e400",
+        "temperature-above-2", "temperature-negative"])
+def test_cli_refuses_a_wait_past_the_longest_or_a_temperature_out_of_range(
+        tmp_path, capsys, monkeypatch, anchor, setting, reason):
+    # Each passed every command before: then a retry or a limiter slot
+    # raised OverflowError from time.sleep, or the chat body carried
+    # "temperature": Infinity (1e400 reads as inf).
+    monkeypatch.delenv("NCBI_API_KEY", raising=False)
+    path = write_cli_config(tmp_path)
+    path.write_text(path.read_text().replace(anchor, f"{anchor}, {setting}"))
+    for argv in (["ingest"], ["formulate", "--prompt", "q1"], ["execute"]):
+        assert cli.main([*argv, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: bad configuration file {path}: {reason}\n"
     assert not (tmp_path / "runlog.jsonl").exists()
 
 

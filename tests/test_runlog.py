@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DEEP_JSON
+from srquery import runlog
 from srquery.runlog import (
     RunLogError,
     RunRecord,
@@ -54,6 +55,40 @@ def test_append_after_a_tail_torn_one_byte_past_a_newline(tmp_path):
         f.write(b"{")
     append_records(path, [record("r2")])
     assert [r.run_id for r in read_records(path)] == ["r1", "r2"]
+
+
+class _CountingFile:
+    """An open file that records the size of each read."""
+
+    def __init__(self, f, reads: list):
+        self._f, self._reads = f, reads
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def read(self, size=-1):
+        data = self._f.read(size)
+        self._reads.append(len(data))
+        return data
+
+
+def test_a_clean_append_to_a_long_log_reads_only_its_last_byte(tmp_path, monkeypatch, caplog):
+    path = tmp_path / "runlog.jsonl"
+    append_records(path, [record(f"r{i}") for i in range(1000)])
+    reads = []
+    monkeypatch.setattr(runlog, "open", lambda *a, **kw: _CountingFile(open(*a, **kw), reads),
+                        raising=False)
+    with caplog.at_level(logging.WARNING, logger="srquery.runlog"):
+        append_records(path, [record("r1000")])
+    assert reads == [1] and caplog.text == ""
+    monkeypatch.undo()
+    assert [r.run_id for r in read_records(path)] == [f"r{i}" for i in range(1001)]
 
 
 def test_complete_unterminated_final_record_is_kept(tmp_path):
