@@ -7,8 +7,8 @@ import json
 import logging
 import math
 import os
-import re
 import pkgutil
+import re
 import subprocess
 import sys
 import tempfile
